@@ -3,7 +3,8 @@
 One subcommand per experiment family; JSON configs share the packaged
 schema.  Flags override the config's seed list, worker count, and
 guarantee mode.  Exit codes: 0 success, 2 bad config, 3 a check-style
-run reported failures, 4 I/O trouble.
+run reported failures or a measurement was numerically unusable, 4 I/O
+trouble.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    DegenerateBatchError,
+    NumericError,
+    PreconditionError,
+)
 from .experiments import emit_reports, make_config, run_experiment
 
 EXIT_OK = 0
@@ -115,6 +121,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NumericError, DegenerateBatchError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     out_dir = args.out or f"runs/{cfg.kind}-{cfg.config_hash[:8]}"
     try:
         files = emit_reports(log, out_dir, plots=args.plots)

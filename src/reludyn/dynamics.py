@@ -26,7 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    DegenerateBatchError,
+    NumericError,
+    PreconditionError,
+)
 from .teachers import GausStream, next_batch
 
 NORM_FLOOR = 1e-6
@@ -35,34 +40,47 @@ NORM_FLOOR = 1e-6
 # ------------------------------------------------------------------ moments
 
 
+def _gate(z: np.ndarray, tau: float) -> np.ndarray:
+    return (z > tau).astype(float)
+
+
+def _relu(z: np.ndarray, tau: float) -> np.ndarray:
+    return np.where(z > tau, z, 0.0)
+
+
 def _gates(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    return (x @ w > tau).astype(float)
+    return _gate(x @ w, tau)
 
 
 def _acts(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    z = x @ w
-    return np.where(z > tau, z, 0.0)
+    return _relu(x @ w, tau)
+
+
+def _stderr(m: np.ndarray, sq: np.ndarray, n: int) -> np.ndarray:
+    return np.sqrt(np.maximum(sq - m * m, 0.0) / n)
 
 
 def _moment_with_err(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     m = a.T @ b / n
     sq = (a * a).T @ (b * b) / n
-    var = np.maximum(sq - m * m, 0.0)
-    return m, np.sqrt(var / n)
+    return m, _stderr(m, sq, n)
 
 
 def gate_moments(x: np.ndarray, w: np.ndarray, w_star: np.ndarray,
                  tau: float = 0.0):
     """Shared-batch student-student and student-target gate moments.
 
-    Returns (d, d_star, d_err, d_star_err).
+    Returns (d, d_star, d_err, d_star_err).  Gates are 0/1, so each
+    second moment equals its mean exactly (both are integer counts over
+    the batch size) and the stderrs need no further matmul.
     """
     g = _gates(x, w, tau)
     g_star = _gates(x, w_star, tau)
-    d, d_err = _moment_with_err(g, g)
-    ds, ds_err = _moment_with_err(g, g_star)
-    return d, ds, d_err, ds_err
+    n = x.shape[0]
+    d = g.T @ g / n
+    ds = g.T @ g_star / n
+    return d, ds, _stderr(d, d, n), _stderr(ds, ds, n)
 
 
 def act_moments(x: np.ndarray, w: np.ndarray, w_star: np.ndarray,
@@ -73,6 +91,20 @@ def act_moments(x: np.ndarray, w: np.ndarray, w_star: np.ndarray,
     l, l_err = _moment_with_err(f, f)
     ls, ls_err = _moment_with_err(f, f_star)
     return l, ls, l_err, ls_err
+
+
+def self_moments(x: np.ndarray, w: np.ndarray,
+                 tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Self gate and activation moment means (d, l) from one feature pass.
+
+    Equal bit for bit to gate_moments(x, w, w, tau)[0] and
+    act_moments(x, w, w, tau)[0], without their cross pair and stderrs.
+    """
+    z = x @ w
+    g = _gate(z, tau)
+    f = _relu(z, tau)
+    n = x.shape[0]
+    return g.T @ g / n, f.T @ f / n
 
 
 def drive_stderr(d_star_err: np.ndarray, d_err: np.ndarray) -> np.ndarray:
@@ -435,6 +467,9 @@ def two_layer_constants(k_d: float, k_l: float, theta_0: float, eps_d: float,
         raise PreconditionError("initial angle must lie in (0, pi/2)")
     if n < m or m < 1:
         raise PreconditionError("need n >= m >= 1")
+    if not all(map(math.isfinite, (k_d, k_l, eps_d, eps_l, b_v, b_dv, c0_hat,
+                                   eta, d_diag_min, l_diag_min))):
+        raise PreconditionError("constants must be finite")
     if min(k_d, k_l, eps_d, eps_l, b_v, b_dv, c0_hat,
            d_diag_min, l_diag_min) < 0 or eta <= 0:
         raise PreconditionError("constants must be non-negative, eta positive")
@@ -546,19 +581,17 @@ def monitor_hypotheses(state: TwoLayerState, ledger: ConstantLedger, t: int,
     if t < 1:
         raise PreconditionError("iterations count from 1")
     m, n = state.u_count, state.n_filters
-    targets = state.targets
-    g = _gates(x, state.w, state.tau)
-    g_t = _gates(x, targets, state.tau)
-    f = _acts(x, state.w, state.tau)
-    f_t = _acts(x, targets, state.tau)
+    z = x @ state.w
+    z_t = x @ state.targets
     nb = x.shape[0]
-    d_star = g.T @ g_t / nb
-    l_star = f.T @ f_t / nb
+    d_star = _gate(z, state.tau).T @ _gate(z_t, state.tau) / nb
+    l_star = _relu(z, state.tau).T @ _relu(z_t, state.tau) / nb
     off = ~np.eye(n, dtype=bool)
     slack_sep = math.inf
     for fam, mat, eps in (("d", d_star, ledger.eps_d), ("l", l_star, ledger.eps_l)):
         bound = eps * _pair_bound_matrix(ledger, n, fam) * np.diag(mat)[:, None]
-        slack_sep = min(slack_sep, float((bound - mat)[off].min()))
+        # a single filter has no pair to separate
+        slack_sep = min(slack_sep, float((bound - mat)[off].min(initial=math.inf)))
 
     sin_t = np.sin(state.thetas[:m])
     bound_wu = (1.0 - state.eta * ledger.d_bar * ledger.gamma) ** (t - 1) * math.sin(
@@ -621,7 +654,9 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
     directions and renormalized; moments share one batch so the
     difference estimator sees the mismatch, not independent noise.
     Points whose difference sits within three standard errors of zero
-    are dropped from the fit (and from the constant estimate).
+    are dropped from the fit (and from the constant estimate).  A filter
+    that never fires on the batch has no moment to fall off from and
+    raises DegenerateBatchError.
     """
     w_star = np.asarray(w_star, dtype=float)
     norm = np.linalg.norm(w_star)
@@ -632,6 +667,11 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
     x = next_batch(stream, n)
     f_star = _acts(x, w_star, tau)
     l_ref = float((f_star * f_star).mean())
+    if l_ref == 0.0:
+        raise DegenerateBatchError(
+            f"fall-off probe: the filter never fires on the {n}-row batch "
+            f"(tau={tau:g})"
+        )
     rng = np.random.default_rng(seed)
     dists, diffs, errs = [], [], []
     for _ in range(n_directions):

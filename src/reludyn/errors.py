@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, failed numerical checks with 3, and I/O trouble with 4.
+with 2, failed numerical checks and numerically unusable measurements
+(NumericError, DegenerateBatchError) with 3, and I/O trouble with 4.
 """
 
 from __future__ import annotations

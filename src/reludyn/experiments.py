@@ -24,15 +24,14 @@ import numpy as np
 
 from .beta import compute_beta, psi_d, verify_identity
 from .dynamics import (
-    act_moments,
     act_slope_on_geodesics,
     column_angles,
-    gate_moments,
     gate_slope_on_geodesics,
     mixed_two_layer_init,
     monitor_hypotheses,
     quadratic_falloff_probe,
     reduced_teacher,
+    self_moments,
     spare_row_gap,
     step_two_layer,
     two_layer_constants,
@@ -826,27 +825,34 @@ def _cell_key(overparam: int, p_w: float, p_v: float) -> str:
     return f"x{overparam}_pw{fmt(p_w)}_pv{fmt(p_v)}"
 
 
-def _measure_cell_ledger(state, grid: dict, cell_index: int,
+def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
                          c0_hat: float) -> tuple:
     """Convergence-constant inputs measured on the cell's own geometry.
 
     Separation scales are worst off-diagonal/diagonal moment ratios of
-    the alignment targets; slopes are probed along the geodesics the
-    u-set would traverse.  The initial angle is clamped into the open
-    quarter circle; a start beyond it simply yields an infeasible ledger.
+    the alignment targets (0 for a single filter); slopes are probed
+    along the geodesics the u-set would traverse.  The initial angle is
+    clamped into the open quarter circle; a start beyond it simply
+    yields an infeasible ledger.  A target that never fires on the probe
+    batch leaves no ratio to take and raises DegenerateBatchError.
     """
     d = state.w.shape[0]
     m, n = state.u_count, state.n_filters
-    targets = state.targets
     x = next_batch(
         GausStream(dim=d, std=1.0, seed=_derive_seed(5, cell_index)),
         int(grid["probe_n"]),
     )
-    d_t = gate_moments(x, targets, targets, grid["tau"])[0]
-    l_t = act_moments(x, targets, targets, grid["tau"])[0]
+    d_t, l_t = self_moments(x, state.targets, grid["tau"])
+    d_diag, l_diag = np.diag(d_t), np.diag(l_t)
+    silent = np.flatnonzero((d_diag == 0.0) | (l_diag == 0.0))
+    if silent.size:
+        raise DegenerateBatchError(
+            f"cell {cell}: alignment target {int(silent[0])} never fires "
+            f"on the {x.shape[0]}-row probe batch (tau={grid['tau']:g})"
+        )
     off = ~np.eye(n, dtype=bool)
-    eps_d = float((d_t / np.diag(d_t)[:, None])[off].max())
-    eps_l = float((l_t / np.diag(l_t)[:, None])[off].max())
+    eps_d = float((d_t / d_diag[:, None])[off].max(initial=0.0))
+    eps_l = float((l_t / l_diag[:, None])[off].max(initial=0.0))
     theta_raw = float(column_angles(state.w[:, :m], state.w_star).max())
     theta_0 = min(max(theta_raw, 1e-4), math.pi / 2 - 1e-9)
     geo_stream = GausStream(dim=d, std=1.0, seed=_derive_seed(6, cell_index))
@@ -865,14 +871,14 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int,
     b_dv = float(np.linalg.norm(state.v[:m] - state.v_star, axis=1).max())
     ledger = two_layer_constants(
         k_d, k_l, theta_0, eps_d, eps_l, b_v, b_dv, m, n, c0_hat,
-        grid["eta"], float(np.diag(d_t).min()), float(np.diag(l_t).min()),
+        grid["eta"], float(d_diag.min()), float(l_diag.min()),
     )
     inputs = {
         "k_d": k_d, "k_l": k_l, "theta_0": theta_0, "theta_raw": theta_raw,
         "eps_d": eps_d, "eps_l": eps_l, "b_v": b_v, "b_dv": b_dv,
         "m": m, "n": n, "c0_hat": c0_hat, "eta": grid["eta"],
-        "d_diag_min": float(np.diag(d_t).min()),
-        "l_diag_min": float(np.diag(l_t).min()),
+        "d_diag_min": float(d_diag.min()),
+        "l_diag_min": float(l_diag.min()),
     }
     return ledger, inputs
 
@@ -997,12 +1003,14 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
             w_star, v_star,
             o * g["teacher_width"], p_w, p_v, g["eta"], tau=g["tau"],
         )
-        ledger, inputs = _measure_cell_ledger(state0, g, ci, c0_probe.c0_hat)
+        key = _cell_key(o, p_w, p_v)
+        ledger, inputs = _measure_cell_ledger(state0, g, ci, key,
+                                              c0_probe.c0_hat)
         if cfg.mode == "guaranteed" and ledger.feasible:
             cell_mode = "guaranteed"
         else:
             cell_mode = "free-run"
-        ledgers[_cell_key(o, p_w, p_v)] = {
+        ledgers[key] = {
             "inputs": inputs,
             "ledger": asdict(ledger),
             "cell_mode": cell_mode,

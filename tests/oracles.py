@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without reusing the package's
 backward pass or constants code: finite differences through the forward
-evaluation, brute-force 2D Monte Carlo, and a second, separately coded
-arithmetic path for the convergence-constant ledgers.
+evaluation, brute-force 2D Monte Carlo, arc-cosine kernel closed forms,
+and a second, separately coded arithmetic path for the
+convergence-constant ledgers.
 """
 
 from __future__ import annotations
@@ -181,6 +182,19 @@ def psi_d_2d_oracle(
     p = both.mean()
     stderr = math.sqrt(max(p * (1 - p), 1e-12) / n)
     return float(p), stderr
+
+
+def arccos_kernels(w: np.ndarray, w_star: np.ndarray):
+    """Closed-form gate and activation moment matrices under N(0, I)
+    inputs at tau = 0 (Cho & Saul 2009).  For filters at angle theta:
+    joint firing (pi - theta) / 2 pi, ReLU product
+    |w||w'| (sin theta + (pi - theta) cos theta) / 2 pi."""
+    norms = np.linalg.norm(w, axis=0)[:, None] * np.linalg.norm(w_star, axis=0)
+    cos = np.clip((w.T @ w_star) / norms, -1.0, 1.0)
+    theta = np.arccos(cos)
+    d = (np.pi - theta) / (2.0 * np.pi)
+    lam = norms * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
+    return d, lam
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,31 @@ def test_unwritable_out_dir_is_io_error(tmp_path, capsys):
     blocker.write_text("a file, not a directory")
     assert main(["train", "--config", cfg, "--out", str(blocker)]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_grid_noise_floor_exits_three_without_traceback(tmp_path, capsys):
+    # 256 probe rows leave too few fall-off points above the noise floor
+    cfg = write_config(tmp_path, {"grid": {
+        "iterations": 2, "overparams": [2], "cells": [[10.0, 10.0]],
+        "probe_n": 256,
+    }})
+    assert main(["overparam-grid", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_grid_silent_filters_exit_three(tmp_path, capsys):
+    # no filter fires above tau = 50, so no moment can be measured
+    cfg = write_config(tmp_path, {"grid": {
+        "tau": 50, "iterations": 2, "overparams": [2],
+        "cells": [[10.0, 10.0]], "probe_n": 2000,
+    }})
+    assert main(["overparam-grid", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "never fires" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import single_layer_ledger_oracle, two_layer_ledger_oracle
+from oracles import (
+    arccos_kernels,
+    single_layer_ledger_oracle,
+    two_layer_ledger_oracle,
+)
 from reludyn.dynamics import (
     ConstantLedger,
     SingleLayerState,
     TwoLayerState,
+    _gates,
+    _moment_with_err,
     act_moments,
     column_angles,
     gate_moments,
@@ -19,6 +26,7 @@ from reludyn.dynamics import (
     quadratic_falloff_probe,
     reduced_teacher,
     run_single,
+    self_moments,
     single_layer_constants,
     spare_row_gap,
     step_single,
@@ -26,7 +34,12 @@ from reludyn.dynamics import (
     two_layer_constants,
     two_layer_moments,
 )
-from reludyn.errors import ConfigurationError, NumericError, PreconditionError
+from reludyn.errors import (
+    ConfigurationError,
+    DegenerateBatchError,
+    NumericError,
+    PreconditionError,
+)
 from reludyn.teachers import GausStream, next_batch
 
 
@@ -52,6 +65,48 @@ def rotate_columns(w: np.ndarray, angle: float, rng) -> np.ndarray:
 def random_unit_columns(dim: int, n: int, rng) -> np.ndarray:
     w = rng.normal(size=(dim, n))
     return w / np.linalg.norm(w, axis=0)
+
+
+# ------------------------------------------------------------------ moments
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_self_moments_equal_public_estimators_bitwise(tau):
+    rng = np.random.default_rng(17)
+    w = random_unit_columns(10, 12, rng)
+    x = next_batch(GausStream(dim=10, std=1.0, seed=4), 3000)
+    d, l = self_moments(x, w, tau)
+    assert np.array_equal(d, gate_moments(x, w, w, tau)[0])
+    assert np.array_equal(l, act_moments(x, w, w, tau)[0])
+
+
+def test_self_moments_match_arccos_closed_forms():
+    n = 20_000
+    w = random_unit_columns(10, 20, np.random.default_rng(23))
+    x = next_batch(GausStream(dim=10, std=1.0, seed=8), n)
+    d, l = self_moments(x, w)
+    d_cf, l_cf = arccos_kernels(w, w)
+    d_err = gate_moments(x, w, w)[2]
+    l_err = act_moments(x, w, w)[2]
+    for est, cf, err in ((d, d_cf, d_err), (l, l_cf, l_err)):
+        z = np.abs(est - cf) / (err + 1.0 / n)
+        assert z.max() <= 6.0, z.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       dim=st.integers(1, 6), width=st.integers(1, 5),
+       tau=st.sampled_from([0.0, 0.1, 1.0, 3.0]))
+def test_gate_stderr_equals_two_matmul_formula(seed, n, dim, width, tau):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dim))
+    x[rng.random(size=x.shape) < 0.1] = 0.0  # ties at the gate threshold
+    w = rng.normal(size=(dim, width))
+    w_star = rng.normal(size=(dim, width + 1))
+    g, g_star = _gates(x, w, tau), _gates(x, w_star, tau)
+    _, _, d_err, ds_err = gate_moments(x, w, w_star, tau)
+    assert np.array_equal(d_err, _moment_with_err(g, g)[1])
+    assert np.array_equal(ds_err, _moment_with_err(g, g_star)[1])
 
 
 # ----------------------------------------------------- single-layer ledger
@@ -240,6 +295,12 @@ def test_two_ledger_preconditions():
     bad["eta"] = 0.0
     with pytest.raises(PreconditionError):
         two_layer_constants(**bad)
+    for key in ("eps_d", "eps_l", "c0_hat", "k_d", "d_diag_min"):
+        for value in (math.nan, math.inf):
+            bad = dict(WORKED)
+            bad[key] = value
+            with pytest.raises(PreconditionError, match="finite"):
+                two_layer_constants(**bad)
 
 
 # ------------------------------------------------------- single-layer flow
@@ -513,6 +574,21 @@ def test_monitor_reports_violation_without_raising():
         monitor_hypotheses(state, led, 0, x)
 
 
+def test_monitor_single_filter_has_infinite_separation_slack():
+    rng = np.random.default_rng(5)
+    w_star = random_unit_columns(6, 1, rng)
+    w = rotate_columns(w_star, 0.1, rng)
+    v_star = rng.normal(size=(1, 2))
+    state = TwoLayerState(w=w, v=v_star + 0.01, w_star=w_star, v_star=v_star,
+                          eta=0.05, w0=w.copy())
+    led = two_layer_constants(0.0, 0.0, 0.2, 0.0, 0.0, 2.0, 0.1,
+                              1, 1, 0.0, 0.05, 0.4, 0.4)
+    x = next_batch(GausStream(dim=6, std=1.0, seed=2), 1024)
+    entry = monitor_hypotheses(state, led, 1, x)
+    assert entry.slack_w_separation == math.inf
+    assert entry.w_separation_ok
+
+
 # ------------------------------------------------------------ falloff probe
 
 
@@ -565,6 +641,8 @@ def test_falloff_noise_floor_and_preconditions():
         quadratic_falloff_probe(np.zeros(12), (0.1,), stream, 100)
     with pytest.raises(PreconditionError):
         quadratic_falloff_probe(w_star, (0.7,), stream, 100)
+    with pytest.raises(DegenerateBatchError, match="never fires"):
+        quadratic_falloff_probe(w_star, (0.1, 0.2), stream, 100, tau=50.0)
 
 
 def test_gate_slope_matches_plain_relu_geometry():

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from reludyn.errors import ConfigurationError
+from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
+from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
     RunLog,
+    _measure_cell_ledger,
     config_hash,
     emit_reports,
     load_config,
@@ -370,6 +372,35 @@ def test_grid_guaranteed_mode_downgrades_infeasible_cell():
         assert all(r["guaranteed"] == 0 for r in log.rows)
     # the trajectories run either way
     assert max(r["iteration"] for r in log.rows) == 30
+
+
+@pytest.mark.parametrize("mode", ["free-run", "guaranteed"])
+def test_grid_single_filter_runs(mode):
+    cfg = make_config({
+        "kind": "overparam_grid", "seeds": [0], "mode": mode,
+        "grid": {"teacher_width": 1, "overparams": [1],
+                 "cells": [[10.0, 10.0]], "iterations": 2,
+                 "probe_n": 2000, "monitor_every": 1},
+    })
+    log = run_experiment(cfg)
+    entry = log.ledgers["x1_pw10_pv10"]
+    # no off-diagonal pair: the separation scales are zero
+    assert entry["inputs"]["eps_d"] == 0.0
+    assert entry["inputs"]["eps_l"] == 0.0
+    assert entry["ledger"]["feasible"]
+    assert entry["cell_mode"] == mode
+    monitors = log.tables.get("monitors", [])
+    assert len(monitors) == (2 if mode == "guaranteed" else 0)
+    assert all(r["slack_w_separation"] == math.inf for r in monitors)
+
+
+def test_cell_ledger_rejects_silent_target_naming_the_cell():
+    grid = dict(tiny_grid().grid, tau=50.0, probe_n=512)
+    w_star, v_star = reduced_teacher(np.random.default_rng(0), 5, 4, 3)
+    state = mixed_two_layer_init(np.random.default_rng(1), w_star, v_star,
+                                 8, 10.0, 10.0, 0.05, tau=50.0)
+    with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
+        _measure_cell_ledger(state, grid, 0, "x2_pw10_pv10", 1.0)
 
 
 def test_grid_reruns_are_identical():
