@@ -1,7 +1,6 @@
 """Numerical laboratory for teacher-student ReLU network training dynamics."""
 
 from .errors import (
-    CheckFailure,
     ConfigurationError,
     DegenerateBatchError,
     NumericError,
@@ -36,12 +35,7 @@ from .teachers import (
 from .beta import (
     BetaTensors,
     compute_beta,
-    estimate_moments,
-    overlap_eps,
-    probe_separation,
     psi_d,
-    psi_l,
-    separation_residual,
     verify_identity,
 )
 from .metrics import (

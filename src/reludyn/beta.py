@@ -1,4 +1,4 @@
-"""Gradient decomposition channels, batch moments, and assumption audits.
+"""Gradient decomposition channels and the joint-firing kernel probe.
 
 For plain ReLU stacks trained toward a teacher, the per-sample negative
 gradient at every node splits exactly into a teacher-channel sum minus a
@@ -14,11 +14,8 @@ which adds one extra channel column per side.  The decomposition needs the
 sigma(x) = sigma'(x) * x property of ReLU, so it is only defined for
 networks without batch normalization.
 
-The rest of the module estimates the batch moments the reduced dynamics
-run on (activation products, gate products, mean channels) and audits the
-three conditions those dynamics assume: factorization of mixed
-expectations, smoothness of the gate/activation kernels, and small overlap
-between teacher nodes.
+psi_d estimates the joint firing probability of two filters on Gaussian
+inputs with the gate kernel and stderr formula of the reduced dynamics.
 """
 
 from __future__ import annotations
@@ -27,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _gate, _stderr
 from .errors import ConfigurationError, PreconditionError
-from .net import ForwardTrace, GradientSet, Network, forward
+from .net import ForwardTrace, GradientSet, Network
 from .teachers import GausStream, next_batch
 
-EPS_GUARD = 1e-12
+PSI_BATCH = 65536
 
 
 @dataclass(frozen=True)
@@ -170,401 +168,25 @@ def verify_identity(betas: BetaTensors, trace_s: ForwardTrace,
     return worst
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Monte-Carlo moments for one layer of a student/teacher pair.
+def psi_d(w, w_p, stream: GausStream, n: int, tau: float = 0.0):
+    """Joint firing probability of two filters, with standard error.
 
-    ``act_*`` are expectations of activation products one layer below
-    (inputs for the first layer); ``gate_*`` are gate products at the
-    layer; suffixes ss/st/tt pick the student-student, student-teacher,
-    teacher-teacher pairing.  ``beta_mean``/``beta_star_mean`` average the
-    per-sample channel tensors, and the drive matrices are their gate-
-    weighted elementwise products.  Every estimated family carries a
-    per-entry standard error.
+    Draws n rows in batches of at most PSI_BATCH.  The products of 0/1
+    gates satisfy p * p == p, so the second moment equals the mean and
+    the stderr follows from the mean alone.
     """
-
-    layer: int
-    sample_count: int
-    act_ss: np.ndarray
-    act_st: np.ndarray
-    act_tt: np.ndarray
-    gate_ss: np.ndarray
-    gate_st: np.ndarray
-    gate_tt: np.ndarray
-    beta_mean: np.ndarray
-    beta_star_mean: np.ndarray
-    act_ss_err: np.ndarray
-    act_st_err: np.ndarray
-    act_tt_err: np.ndarray
-    gate_ss_err: np.ndarray
-    gate_st_err: np.ndarray
-    gate_tt_err: np.ndarray
-    beta_err: np.ndarray
-    beta_star_err: np.ndarray
-
-    @property
-    def drive_self(self) -> np.ndarray:
-        """Elementwise product of mean channels and gate moments (ss)."""
-        return self.beta_mean * self.gate_ss
-
-    @property
-    def drive_cross(self) -> np.ndarray:
-        """Elementwise product of mean star channels and gate moments (st)."""
-        return self.beta_star_mean * self.gate_st
-
-
-class _MeanAcc:
-    """Streaming mean and standard error for arrays of per-sample values."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.s1 = np.zeros(shape)
-        self.s2 = np.zeros(shape)
-        self.n = 0
-
-    def add_products(self, a: np.ndarray, b: np.ndarray) -> None:
-        # per-sample outer products a_bi * b_bj, accumulated without
-        # materializing the batch x i x j tensor twice
-        self.s1 += np.einsum("bi,bj->ij", a, b)
-        self.s2 += np.einsum("bi,bj->ij", a * a, b * b)
-        self.n += a.shape[0]
-
-    def add_values(self, v: np.ndarray) -> None:
-        self.s1 += v.sum(axis=0)
-        self.s2 += (v * v).sum(axis=0)
-        self.n += v.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return self.s1 / self.n
-
-    def stderr(self) -> np.ndarray:
-        var = np.maximum(self.s2 / self.n - self.mean() ** 2, 0.0)
-        return np.sqrt(var / self.n)
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
-
-
-def estimate_moments(student: Network, teacher: Network, stream: GausStream,
-                     n_samples: int, batch_size: int = 512) -> list[MomentSet]:
-    """Monte-Carlo moment matrices for every layer, with standard errors."""
-    if n_samples < 2:
-        raise PreconditionError("need at least two samples")
-    n_layers = student.n_layers
-    sw = student.spec.layer_widths
-    tw = teacher.spec.layer_widths
-    accs = []
-    for li in range(n_layers):
-        a_in, b_in = sw[li], tw[li]
-        a_out, b_out = sw[li + 1], tw[li + 1]
-        accs.append({
-            "act_ss": _MeanAcc((a_in, a_in)),
-            "act_st": _MeanAcc((a_in, b_in)),
-            "act_tt": _MeanAcc((b_in, b_in)),
-            "gate_ss": _MeanAcc((a_out, a_out)),
-            "gate_st": _MeanAcc((a_out, b_out)),
-            "gate_tt": _MeanAcc((b_out, b_out)),
-            "beta": _MeanAcc((a_out, a_out)),
-            "beta_star": _MeanAcc((a_out, b_out)),
-        })
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        x = next_batch(stream, b)
-        tr_s = forward(student, x)
-        tr_t = forward(teacher, x)
-        betas = compute_beta(student, teacher, tr_s, tr_t)
-        for li in range(n_layers):
-            acc = accs[li]
-            a_s, a_t = tr_s.layer_input(li), tr_t.layer_input(li)
-            g_s, g_t = tr_s.gate[li], tr_t.gate[li]
-            acc["act_ss"].add_products(a_s, a_s)
-            acc["act_st"].add_products(a_s, a_t)
-            acc["act_tt"].add_products(a_t, a_t)
-            acc["gate_ss"].add_products(g_s, g_s)
-            acc["gate_st"].add_products(g_s, g_t)
-            acc["gate_tt"].add_products(g_t, g_t)
-            acc["beta"].add_values(betas.beta[li])
-            acc["beta_star"].add_values(betas.beta_star[li])
-        done += b
-    sets = []
-    for li in range(n_layers):
-        acc = accs[li]
-        sets.append(MomentSet(
-            layer=li,
-            sample_count=n_samples,
-            act_ss=_symmetrize(acc["act_ss"].mean()),
-            act_st=acc["act_st"].mean(),
-            act_tt=_symmetrize(acc["act_tt"].mean()),
-            gate_ss=_symmetrize(acc["gate_ss"].mean()),
-            gate_st=acc["gate_st"].mean(),
-            gate_tt=_symmetrize(acc["gate_tt"].mean()),
-            beta_mean=acc["beta"].mean(),
-            beta_star_mean=acc["beta_star"].mean(),
-            act_ss_err=acc["act_ss"].stderr(),
-            act_st_err=acc["act_st"].stderr(),
-            act_tt_err=acc["act_tt"].stderr(),
-            gate_ss_err=acc["gate_ss"].stderr(),
-            gate_st_err=acc["gate_st"].stderr(),
-            gate_tt_err=acc["gate_tt"].stderr(),
-            beta_err=acc["beta"].stderr(),
-            beta_star_err=acc["beta_star"].stderr(),
-        ))
-    return sets
-
-
-@dataclass(frozen=True)
-class SeparationProbe:
-    """One probed index tuple with both sides of the factorization."""
-
-    layer: int
-    side: str  # "cross" (star channel) or "self"
-    j: int
-    jt: int
-    k: int
-    kt: int
-    lhs: float
-    rhs: float
-    rel_err: float
-
-
-def probe_separation(student: Network, teacher: Network, stream: GausStream,
-                     n_samples: int,
-                     tuples: list[tuple[int, str, int, int, int, int]],
-                     batch_size: int = 512) -> list[SeparationProbe]:
-    """Evaluate the mixed-moment factorization on explicit index tuples.
-
-    For each tuple the joint expectation E[channel * gate_j * gate_jt *
-    act_k * act_kt] is compared against the product of the three factor
-    means.  This audits the factorization; nothing downstream enforces it.
-    """
-    if n_samples < 2:
-        raise PreconditionError("need at least two samples")
-    n_t = len(tuples)
-    joint = np.zeros(n_t)
-    f_beta = np.zeros(n_t)
-    f_gate = np.zeros(n_t)
-    f_act = np.zeros(n_t)
-    done = 0
-    while done < n_samples:
-        b = min(batch_size, n_samples - done)
-        x = next_batch(stream, b)
-        tr_s = forward(student, x)
-        tr_t = forward(teacher, x)
-        betas = compute_beta(student, teacher, tr_s, tr_t)
-        for i, (li, side, j, jt, k, kt) in enumerate(tuples):
-            if side == "cross":
-                ch = betas.beta_star[li][:, j, jt]
-                g2 = tr_t.gate[li][:, jt]
-                a2 = tr_t.layer_input(li)[:, kt]
-            else:
-                ch = betas.beta[li][:, j, jt]
-                g2 = tr_s.gate[li][:, jt]
-                a2 = tr_s.layer_input(li)[:, kt]
-            g1 = tr_s.gate[li][:, j]
-            a1 = tr_s.layer_input(li)[:, k]
-            joint[i] += (ch * g1 * g2 * a1 * a2).sum()
-            f_beta[i] += ch.sum()
-            f_gate[i] += (g1 * g2).sum()
-            f_act[i] += (a1 * a2).sum()
-        done += b
-    out = []
-    for i, (li, side, j, jt, k, kt) in enumerate(tuples):
-        lhs = joint[i] / n_samples
-        rhs = (f_beta[i] / n_samples) * (f_gate[i] / n_samples) * (
-            f_act[i] / n_samples
-        )
-        rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS_GUARD)
-        out.append(SeparationProbe(li, side, j, jt, k, kt, lhs, rhs, rel))
-    return out
-
-
-def sample_probe_tuples(student: Network, teacher: Network, n_probes: int,
-                        seed: int = 0) -> list[tuple[int, str, int, int, int, int]]:
-    """Uniformly sampled index tuples, drawn one at a time so that a longer
-    list extends a shorter one for the same seed."""
-    rng = np.random.default_rng(seed)
-    sw, tw = student.spec.layer_widths, teacher.spec.layer_widths
-    n_layers = student.n_layers
-    tuples = []
-    for _ in range(n_probes):
-        li = int(rng.integers(n_layers))
-        side = "cross" if rng.integers(2) == 0 else "self"
-        cols_out = tw[li + 1] if side == "cross" else sw[li + 1]
-        cols_in = tw[li] if side == "cross" else sw[li]
-        tuples.append((
-            li, side,
-            int(rng.integers(sw[li + 1])), int(rng.integers(cols_out)),
-            int(rng.integers(sw[li])), int(rng.integers(cols_in)),
-        ))
-    return tuples
-
-
-def separation_residual(student: Network, teacher: Network, stream: GausStream,
-                        n_samples: int, n_probes: int, seed: int = 0) -> float:
-    """Worst relative factorization error over uniformly sampled tuples."""
-    tuples = sample_probe_tuples(student, teacher, n_probes, seed)
-    probes = probe_separation(student, teacher, stream, n_samples, tuples)
-    return max(p.rel_err for p in probes)
-
-
-def _psi_products(w: np.ndarray, w_p: np.ndarray, x: np.ndarray,
-                  tau: float, kind: str) -> np.ndarray:
-    z1 = x @ w
-    z2 = x @ w_p
-    if kind == "gate":
-        return ((z1 > tau) & (z2 > tau)).astype(float)
-    return np.where(z1 > tau, z1, 0.0) * np.where(z2 > tau, z2, 0.0)
-
-
-def _psi(w, w_p, stream, n, tau, kind, batch_size=65536):
     w = np.asarray(w, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
     if np.linalg.norm(w) == 0 or np.linalg.norm(w_p) == 0:
         raise PreconditionError("kernel probes need nonzero filters")
     if n < 2:
         raise PreconditionError("need at least two samples")
-    s1 = s2 = 0.0
+    s1 = 0.0
     done = 0
     while done < n:
-        b = min(batch_size, n - done)
-        p = _psi_products(w, w_p, next_batch(stream, b), tau, kind)
-        s1 += p.sum()
-        s2 += (p * p).sum()
+        b = min(PSI_BATCH, n - done)
+        x = next_batch(stream, b)
+        s1 += (_gate(x @ w, tau) * _gate(x @ w_p, tau)).sum()
         done += b
     mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return float(mean), float(np.sqrt(var / n))
-
-
-def psi_l(w, w_p, stream: GausStream, n: int, tau: float = 0.0):
-    """E[act(w.x) act(w'.x)] with standard error; gates open above tau."""
-    return _psi(w, w_p, stream, n, tau, "act")
-
-
-def psi_d(w, w_p, stream: GausStream, n: int, tau: float = 0.0):
-    """Joint firing probability of two filters, with standard error."""
-    return _psi(w, w_p, stream, n, tau, "gate")
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    """Worst pairwise-overlap ratios for one teacher layer."""
-
-    layer: int
-    eps_d: float
-    eps_l: float
-    pair_d: tuple[int, int]
-    pair_l: tuple[int, int]
-    dead_gate_nodes: tuple[int, ...]
-    dead_act_nodes: tuple[int, ...]
-
-
-def _overlap_from_moment(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[int, ...]]:
-    width = m.shape[0]
-    diag = np.diag(m)
-    dead = tuple(int(i) for i in np.flatnonzero(diag == 0.0))
-    worst, pair = 0.0, (0, 1)
-    for j1 in range(width):
-        for j2 in range(j1 + 1, width):
-            den = min(diag[j1], diag[j2])
-            if den == 0.0:
-                if abs(m[j1, j2]) > 0.0:
-                    return float("inf"), (j1, j2), dead
-                continue
-            r = abs(m[j1, j2]) / den
-            if r > worst:
-                worst, pair = float(r), (j1, j2)
-    if dead:
-        return float("inf"), pair, dead
-    return worst, pair, dead
-
-
-def overlap_eps(teacher: Network, stream: GausStream, n: int,
-                batch_size: int = 4096) -> list[OverlapReport]:
-    """Per hidden layer: worst off-diagonal/diagonal ratio of the teacher's
-    gate and activation second moments.  Measured metadata, not enforced."""
-    for li in range(teacher.n_layers - 1):
-        if teacher.spec.layer_widths[li + 1] < 2:
-            raise PreconditionError("overlap needs >= 2 nodes per hidden layer")
-    n_hidden = teacher.n_layers - 1
-    gate_acc = [None] * n_hidden
-    act_acc = [None] * n_hidden
-    done = 0
-    while done < n:
-        b = min(batch_size, n - done)
-        tr = forward(teacher, next_batch(stream, b))
-        for li in range(n_hidden):
-            g, a = tr.gate[li], tr.act[li]
-            gg = np.einsum("bi,bj->ij", g, g)
-            aa = np.einsum("bi,bj->ij", a, a)
-            gate_acc[li] = gg if gate_acc[li] is None else gate_acc[li] + gg
-            act_acc[li] = aa if act_acc[li] is None else act_acc[li] + aa
-        done += b
-    reports = []
-    for li in range(n_hidden):
-        eps_d, pair_d, dead_d = _overlap_from_moment(gate_acc[li] / n)
-        eps_l, pair_l, dead_l = _overlap_from_moment(act_acc[li] / n)
-        reports.append(OverlapReport(
-            layer=li, eps_d=eps_d, eps_l=eps_l, pair_d=pair_d, pair_l=pair_l,
-            dead_gate_nodes=dead_d, dead_act_nodes=dead_l,
-        ))
-    return reports
-
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Empirical worst relative slopes of the two kernels near a filter."""
-
-    k_d: float
-    k_l: float
-    skipped_d: int
-    skipped_l: int
-    n_probes: int
-
-
-def lipschitz_probe(w, stream: GausStream, n: int, n_directions: int = 8,
-                    delta_scales: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3),
-                    seed: int = 0, tau: float = 0.0) -> LipschitzEstimate:
-    """Max |psi(w, w1) - psi(w, w2)| / (psi(w, w1) |w1 - w2|) over random
-    nearby probe pairs, for both kernels.
-
-    All evaluations share one input matrix so the differences are not
-    dominated by Monte-Carlo noise.  Probes whose reference value sits
-    within ten standard errors of zero are skipped and counted.
-    """
-    w = np.asarray(w, dtype=float)
-    scale = np.linalg.norm(w)
-    if scale == 0:
-        raise PreconditionError("kernel probes need a nonzero filter")
-    if any(d <= 0 or d > 0.3 for d in delta_scales):
-        raise PreconditionError("probe offsets must be in (0, 0.3]")
-    x = next_batch(stream, n)
-    rng = np.random.default_rng(seed)
-    unit = lambda v: v / np.linalg.norm(v)
-    k = {"gate": 0.0, "act": 0.0}
-    skipped = {"gate": 0, "act": 0}
-    n_probes = 0
-    for _ in range(n_directions):
-        u = unit(rng.normal(size=w.shape))
-        v = unit(rng.normal(size=w.shape))
-        for d in delta_scales:
-            w1 = scale * unit(w / scale + d * u)
-            w2 = scale * unit(w1 / scale + d * v)
-            dist = np.linalg.norm(w1 - w2)
-            n_probes += 1
-            for kind in ("gate", "act"):
-                p1 = _psi_products(w, w1, x, tau, kind)
-                p2 = _psi_products(w, w2, x, tau, kind)
-                ref = p1.mean()
-                err = p1.std() / np.sqrt(n)
-                if ref <= max(10.0 * err, EPS_GUARD):
-                    skipped[kind] += 1
-                    continue
-                ratio = abs(p1.mean() - p2.mean()) / (ref * dist)
-                k[kind] = max(k[kind], float(ratio))
-    return LipschitzEstimate(
-        k_d=k["gate"], k_l=k["act"],
-        skipped_d=skipped["gate"], skipped_l=skipped["act"],
-        n_probes=n_probes,
-    )
+    return float(mean), float(_stderr(mean, mean, n))

@@ -653,10 +653,11 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
     The student filter is the teacher rotated along random tangent
     directions and renormalized; moments share one batch so the
     difference estimator sees the mismatch, not independent noise.
-    Points whose difference sits within three standard errors of zero
-    are dropped from the fit (and from the constant estimate).  A filter
-    that never fires on the batch has no moment to fall off from and
-    raises DegenerateBatchError.
+    Points whose difference sits within three standard errors of zero,
+    or is exactly zero (a zero stderr clears that test), are dropped from
+    the fit (and from the constant estimate).  A filter that never fires
+    on the batch has no moment to fall off from and raises
+    DegenerateBatchError.
     """
     w_star = np.asarray(w_star, dtype=float)
     norm = np.linalg.norm(w_star)
@@ -696,6 +697,7 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
     diffs = np.array(diffs)
     errs = np.array(errs)
     kept = np.abs(diffs) >= 3.0 * errs
+    kept &= diffs != 0.0
     kept &= dists > 0.0
     if kept.sum() < 2:
         raise NumericError("not enough scales cleared the noise floor")

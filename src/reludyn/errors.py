@@ -22,7 +22,3 @@ class DegenerateBatchError(ValueError):
 
 class NumericError(ValueError):
     """Non-finite values where finite ones are required."""
-
-
-class CheckFailure(AssertionError):
-    """A verification subcommand found a violated identity or bound."""

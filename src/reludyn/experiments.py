@@ -262,19 +262,20 @@ class RunLog:
 
     Rows hold only str/int/float/bool/None so the CSV bytes are a pure
     function of the values; wall_clock is reported in meta only and never
-    enters a CSV.
+    enters a CSV.  Runners fill the results; run_experiment sets kind,
+    config, config_hash and wall_clock.
     """
 
-    kind: str
-    config: dict
-    config_hash: str
     rows: list[dict]
     aggregates: list[dict] = field(default_factory=list)
     tables: dict[str, list[dict]] = field(default_factory=dict)
     ledgers: dict = field(default_factory=dict)
     assumptions: list[dict] = field(default_factory=list)
-    wall_clock: float = 0.0
     failed: bool = False
+    kind: str = ""
+    config: dict = field(default_factory=dict)
+    config_hash: str = ""
+    wall_clock: float = 0.0
 
 
 # ----------------------------------------------------------- aggregation
@@ -464,7 +465,6 @@ def _train_payload(cfg: ExperimentConfig, seed: int, *, teacher=None,
 
 def run_train(cfg: ExperimentConfig) -> RunLog:
     """Train one student per seed; emit per-epoch metrics and min/max."""
-    t0 = time.perf_counter()
     payloads = [_train_payload(cfg, seed) for seed in cfg.seeds]
     results = _parallel_map(_train_unit, payloads, cfg.workers)
     rows = [r for res in results for r in res["rows"]]
@@ -473,15 +473,13 @@ def run_train(cfg: ExperimentConfig) -> RunLog:
         for res in results
     ]
     return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
         rows=rows, aggregates=_aggregate(rows, ("epoch",), "minmax"),
-        assumptions=assumptions, wall_clock=time.perf_counter() - t0,
+        assumptions=assumptions,
     )
 
 
 def run_bn_audit(cfg: ExperimentConfig) -> RunLog:
     """Train under BN and report the sign split of the learned shifts."""
-    t0 = time.perf_counter()
     payloads = [_train_payload(cfg, seed, return_net=True) for seed in cfg.seeds]
     results = _parallel_map(_train_unit, payloads, cfg.workers)
     rows = [r for res in results for r in res["rows"]]
@@ -501,16 +499,13 @@ def run_bn_audit(cfg: ExperimentConfig) -> RunLog:
                     "count": int(rep.counts[b]),
                 })
     return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
         rows=rows, aggregates=_aggregate(rows, ("epoch",), "minmax"),
         tables={"bn_bias": bias_rows, "bn_bias_hist": hist_rows},
-        wall_clock=time.perf_counter() - t0,
     )
 
 
 def run_ablations(cfg: ExperimentConfig) -> RunLog:
     """Size, over-parameterization, and finite-data ablations."""
-    t0 = time.perf_counter()
     payloads = []
     if cfg.kind == "ablate_size":
         for widths in cfg.ablate["archs"]:
@@ -558,9 +553,8 @@ def run_ablations(cfg: ExperimentConfig) -> RunLog:
         for res in results
     ]
     return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
         rows=rows, aggregates=_aggregate(rows, by, stats),
-        assumptions=assumptions, wall_clock=time.perf_counter() - t0,
+        assumptions=assumptions,
     )
 
 
@@ -671,7 +665,6 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     final correlation after a base training run; the same retrain stream
     feeds all three arms so the comparison is paired.
     """
-    t0 = time.perf_counter()
     retrain = cfg.lottery["retrain_epochs"] or cfg.epochs
     payloads = []
     for seed in cfg.seeds:
@@ -682,9 +675,8 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     rows = [r for res in results for r in res["rows"]]
     arms = [a for res in results for a in res["arms"]]
     return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
         rows=rows, aggregates=_aggregate(rows, ("arm", "epoch"), "minmax"),
-        tables={"arms": arms}, wall_clock=time.perf_counter() - t0,
+        tables={"arms": arms},
     )
 
 
@@ -715,7 +707,6 @@ def run_verify_identity(cfg: ExperimentConfig) -> RunLog:
     Residuals are reported relative to the largest node gradient; any
     trial over tolerance marks the whole log failed.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seeds[0])
     tol = float(cfg.verify["tol"])
     rows = []
@@ -743,15 +734,11 @@ def run_verify_identity(cfg: ExperimentConfig) -> RunLog:
             "ok": int(rel < tol),
         })
     failed = any(not r["ok"] for r in rows)
-    return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
-        rows=rows, failed=failed, wall_clock=time.perf_counter() - t0,
-    )
+    return RunLog(rows=rows, failed=failed)
 
 
 def run_psi_check(cfg: ExperimentConfig) -> RunLog:
     """Joint-firing moment vs the closed form (pi - angle) / 2 pi."""
-    t0 = time.perf_counter()
     n = int(cfg.psi["n"])
     rows = []
     for seed in cfg.seeds:
@@ -777,15 +764,11 @@ def run_psi_check(cfg: ExperimentConfig) -> RunLog:
             "ok": int(abs(val - 0.5) <= 4.0 * err + 1e-12),
         })
     failed = any(not r["ok"] for r in rows)
-    return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
-        rows=rows, failed=failed, wall_clock=time.perf_counter() - t0,
-    )
+    return RunLog(rows=rows, failed=failed)
 
 
 def run_falloff(cfg: ExperimentConfig) -> RunLog:
     """Perturbation-response exponent of the diagonal activation moment."""
-    t0 = time.perf_counter()
     f = cfg.falloff
     rows, points = [], []
     for seed in cfg.seeds:
@@ -810,11 +793,7 @@ def run_falloff(cfg: ExperimentConfig) -> RunLog:
                 "stderr": float(probe.stderrs[idx]),
                 "kept": int(probe.kept[idx]),
             })
-    return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
-        rows=rows, tables={"points": points},
-        wall_clock=time.perf_counter() - t0,
-    )
+    return RunLog(rows=rows, tables={"points": points})
 
 
 # ------------------------------------------------------------- grid runs
@@ -980,7 +959,6 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     run, the marking lands in the ledger block and the row tags).
     Per-iteration mean and std across seeds mirror the row-norm panels.
     """
-    t0 = time.perf_counter()
     g = cfg.grid
     w_star, v_star = reduced_teacher(
         np.random.default_rng(g["teacher_seed"]), g["dim"],
@@ -1055,13 +1033,11 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
             ),
         })
     return RunLog(
-        kind=cfg.kind, config=cfg.raw, config_hash=cfg.config_hash,
         rows=rows,
         aggregates=_aggregate(
             rows, ("overparam", "p_w", "p_v", "iteration"), "meanstd",
         ),
         tables=tables, ledgers=ledgers, assumptions=assumptions,
-        wall_clock=time.perf_counter() - t0,
     )
 
 
@@ -1080,8 +1056,13 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunLog:
-    """Dispatch a validated config to its runner."""
-    return _RUNNERS[cfg.kind](cfg)
+    """Dispatch a validated config to its runner and stamp the log with
+    the config's identity and the runner's wall-clock time."""
+    t0 = time.perf_counter()
+    log = _RUNNERS[cfg.kind](cfg)
+    log.wall_clock = time.perf_counter() - t0
+    log.kind, log.config, log.config_hash = cfg.kind, cfg.raw, cfg.config_hash
+    return log
 
 
 # -------------------------------------------------------------- emission

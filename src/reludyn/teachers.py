@@ -48,7 +48,6 @@ class StudentInit:
     p_w: float = 0.0
     p_v: float = 0.0
     seed: int = 0
-    normalize_columns: bool = True
 
     def __post_init__(self):
         if self.overparam_factor < 1:
@@ -109,9 +108,9 @@ def make_student(
     noise at strength p_w, the rest being pure noise.  For layers past the
     first, teacher columns are placed on the u-input coordinates and padded
     with zeros elsewhere before mixing.  Top-layer rows mix with p_v and are
-    never normalized; hidden columns are unit norm unless
-    init.normalize_columns is off.  Biases start at zero wherever the
-    teacher has one (dropped on hidden layers when BN is active).
+    never normalized; hidden columns are unit norm.  Biases start at zero
+    wherever the teacher has one (dropped on hidden layers when BN is
+    active).
     """
     rng = np.random.default_rng(init.seed)
     k = init.overparam_factor
@@ -128,15 +127,13 @@ def make_student(
         fan_in, width = widths[li], widths[li + 1]
         m_prev, m = t_widths[li], t_widths[li + 1]
         eps = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, width))
-        if init.normalize_columns:
-            eps = eps / np.linalg.norm(eps, axis=0)
+        eps = eps / np.linalg.norm(eps, axis=0)
         w = eps.copy()
         if init.p_w > 0:
             padded = np.zeros((fan_in, m))
             padded[:m_prev, :] = teacher.weights[li]
             w[:, :m] = init.p_w * padded + eps[:, :m]
-        if init.normalize_columns:
-            w = w / np.linalg.norm(w, axis=0)
+        w = w / np.linalg.norm(w, axis=0)
         weights.append(w)
     # top layer: rows are per-hidden-node fan-outs, mixed but not normalized
     fan_in, c = widths[-2], widths[-1]

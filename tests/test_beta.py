@@ -1,25 +1,14 @@
-"""Channel decomposition exactness, moment estimation, and audits."""
+"""Channel decomposition exactness and the joint-firing kernel probe."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import random_network
-from reludyn.beta import (
-    LipschitzEstimate,
-    compute_beta,
-    estimate_moments,
-    lipschitz_probe,
-    overlap_eps,
-    probe_separation,
-    psi_d,
-    psi_l,
-    sample_probe_tuples,
-    separation_residual,
-    verify_identity,
-)
+from reludyn.beta import compute_beta, psi_d, verify_identity
 from reludyn.errors import ConfigurationError, PreconditionError
 from reludyn.net import NetworkSpec, backward, build_network, forward
-from reludyn.teachers import GausStream, TeacherSpec, make_teacher, next_batch
+from reludyn.teachers import GausStream, next_batch
 
 # frozen from an independent 2D Monte-Carlo run (4e6 samples, seed 99)
 PSI_D_ORACLE = {
@@ -187,119 +176,6 @@ def test_pair_validation_errors():
         compute_beta(student, teacher2, forward(student, x), forward(teacher2, y))
 
 
-# ----------------------------------------------------------------- moments
-
-
-def test_moment_matrices_symmetric_and_bounded():
-    rng = np.random.default_rng(8)
-    student = random_network(rng, (4, 7, 3))
-    teacher = random_network(rng, (4, 5, 3))
-    stream = GausStream(dim=4, std=1.0, seed=0)
-    sets = estimate_moments(student, teacher, stream, 2000)
-    assert len(sets) == 2
-    for ms in sets:
-        assert np.array_equal(ms.act_ss, ms.act_ss.T)
-        assert np.array_equal(ms.act_tt, ms.act_tt.T)
-        assert np.array_equal(ms.gate_ss, ms.gate_ss.T)
-        assert np.all(ms.gate_ss >= 0.0) and np.all(ms.gate_ss <= 1.0)
-        assert np.all(ms.gate_st >= 0.0) and np.all(ms.gate_st <= 1.0)
-        assert ms.sample_count == 2000
-        assert np.array_equal(ms.drive_self, ms.beta_mean * ms.gate_ss)
-        assert np.array_equal(ms.drive_cross, ms.beta_star_mean * ms.gate_st)
-
-
-def test_moment_top_layer_channels_are_identity():
-    rng = np.random.default_rng(9)
-    student = random_network(rng, (4, 6, 3))
-    teacher = random_network(rng, (4, 6, 3))
-    stream = GausStream(dim=4, std=1.0, seed=1)
-    top = estimate_moments(student, teacher, stream, 500)[-1]
-    assert np.array_equal(top.beta_mean, np.eye(3))
-    assert np.array_equal(top.beta_star_mean, np.eye(3))
-    assert np.all(top.beta_err == 0.0)
-    assert np.all(top.gate_ss == 1.0)
-
-
-def test_moment_gate_half_for_zero_bias():
-    spec = NetworkSpec(layer_widths=(5, 6, 2), has_bias=(False, False))
-    rng = np.random.default_rng(10)
-    net = build_network(spec, [rng.normal(size=(5, 6)), rng.normal(size=(6, 2))])
-    stream = GausStream(dim=5, std=1.0, seed=2)
-    ms = estimate_moments(net, net, stream, 20000)[0]
-    diag = np.diag(ms.gate_ss)
-    err = np.diag(ms.gate_ss_err)
-    assert np.all(np.abs(diag - 0.5) < 3 * err + 1e-12)
-
-
-def test_moment_clone_families_coincide():
-    teacher = random_network(np.random.default_rng(11), (4, 6, 2))
-    stream = GausStream(dim=4, std=1.0, seed=3)
-    for ms in estimate_moments(teacher, teacher, stream, 1000):
-        assert np.allclose(ms.act_ss, ms.act_st, atol=1e-12)
-        assert np.allclose(ms.act_ss, ms.act_tt, atol=1e-12)
-        assert np.allclose(ms.gate_ss, ms.gate_st, atol=1e-12)
-
-
-def test_moments_need_samples():
-    teacher = random_network(np.random.default_rng(12), (3, 4, 2))
-    with pytest.raises(PreconditionError):
-        estimate_moments(teacher, teacher, GausStream(dim=3), 1)
-
-
-# -------------------------------------------------------------- separation
-
-
-def test_separation_exact_at_top_layer():
-    # top-layer channels are the identity pattern and top gates are fixed
-    # open, so the factorization is an algebraic identity there
-    rng = np.random.default_rng(13)
-    student = random_network(rng, (4, 6, 3))
-    teacher = random_network(rng, (4, 5, 3))
-    stream = GausStream(dim=4, std=1.0, seed=4)
-    tuples = [(1, "cross", 0, 0, 2, 1), (1, "self", 1, 1, 0, 3)]
-    probes = probe_separation(student, teacher, stream, 600, tuples)
-    for p in probes:
-        assert p.rel_err < 1e-12
-
-
-def test_separation_independent_by_construction():
-    # first-layer filters live on coordinates 0..1; probing activation
-    # coordinate 2 makes gate and activation factors exactly independent
-    w1 = np.zeros((4, 3))
-    w1[:2, :] = np.array([[1.0, -0.5, 0.8], [0.6, 1.2, -0.7]])
-    w1b = np.zeros((4, 3))
-    w1b[:2, :] = np.array([[0.9, 0.4, -1.1], [-0.3, 0.8, 0.5]])
-    spec = NetworkSpec(layer_widths=(4, 3, 2), has_bias=(False, False))
-    rng = np.random.default_rng(14)
-    student = build_network(spec, [w1, rng.normal(size=(3, 2))])
-    teacher = build_network(spec, [w1b, rng.normal(size=(3, 2))])
-    stream = GausStream(dim=4, std=1.0, seed=5)
-    tuples = [
-        (0, "cross", 0, 1, 2, 2),
-        (0, "cross", 2, 0, 3, 3),
-        (0, "self", 1, 2, 2, 2),
-    ]
-    probes = probe_separation(student, teacher, stream, 40000, tuples)
-    for p in probes:
-        assert p.rel_err < 0.03
-
-
-def test_separation_probe_list_is_prefix_stable():
-    rng = np.random.default_rng(15)
-    student = random_network(rng, (4, 6, 3))
-    teacher = random_network(rng, (4, 5, 3))
-    short = sample_probe_tuples(student, teacher, 4, seed=5)
-    long = sample_probe_tuples(student, teacher, 16, seed=5)
-    assert long[:4] == short
-    r_short = separation_residual(
-        student, teacher, GausStream(dim=4, std=1.0, seed=6), 800, 4, seed=5
-    )
-    r_long = separation_residual(
-        student, teacher, GausStream(dim=4, std=1.0, seed=6), 800, 16, seed=5
-    )
-    assert r_long >= r_short
-
-
 # ---------------------------------------------------------------- kernels
 
 
@@ -321,18 +197,41 @@ def test_psi_d_self_and_opposite():
     assert val_opp == 0.0 and se_opp == 0.0
 
 
-def test_psi_l_orthogonal_factorizes():
-    stream = GausStream(dim=4, std=1.0, seed=9)
-    w = np.array([1.0, 0.0, 0.0, 0.0])
-    w_p = np.array([0.0, 1.0, 0.0, 0.0])
-    val, se = psi_l(w, w_p, stream, 200000)
-    assert abs(val - 1.0 / (2 * np.pi)) < 3 * se
+def psi_d_reference(w, w_p, stream, n, tau):
+    # boolean joint firing with separate first- and second-moment sums,
+    # 65,536 rows per batch
+    s1 = s2 = 0.0
+    done = 0
+    while done < n:
+        b = min(65536, n - done)
+        x = next_batch(stream, b)
+        p = ((x @ w > tau) & (x @ w_p > tau)).astype(float)
+        s1 += p.sum()
+        s2 += (p * p).sum()
+        done += b
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0)
+    return float(mean), float(np.sqrt(var / n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 140_000),
+       dim=st.integers(2, 5), tau=st.sampled_from([0.0, 0.3, 1.0]),
+       pair=st.sampled_from(["random", "same", "opposite"]))
+def test_psi_d_bit_equal_to_boolean_reference(seed, n, dim, tau, pair):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=dim)
+    w_p = {"random": rng.normal(size=dim), "same": w, "opposite": -w}[pair]
+    got = psi_d(w, w_p, GausStream(dim=dim, std=1.0, seed=seed), n, tau=tau)
+    ref = psi_d_reference(w, w_p, GausStream(dim=dim, std=1.0, seed=seed),
+                          n, tau)
+    assert got == ref
 
 
 def test_psi_stderr_scales_with_n():
     w = np.array([1.0, 0.5, -0.3])
-    _, se1 = psi_l(w, w, GausStream(dim=3, std=1.0, seed=10), 20000)
-    _, se2 = psi_l(w, w, GausStream(dim=3, std=1.0, seed=10), 80000)
+    _, se1 = psi_d(w, w, GausStream(dim=3, std=1.0, seed=10), 20000)
+    _, se2 = psi_d(w, w, GausStream(dim=3, std=1.0, seed=10), 80000)
     assert abs(se1 / se2 - 2.0) < 0.4
 
 
@@ -351,85 +250,4 @@ def test_psi_preconditions():
     with pytest.raises(PreconditionError):
         psi_d(np.zeros(2), np.array([1.0, 0.0]), stream, 100)
     with pytest.raises(PreconditionError):
-        psi_l(np.array([1.0, 0.0]), np.array([1.0, 0.0]), stream, 1)
-
-
-# ----------------------------------------------------------------- overlap
-
-
-def two_node_teacher(w_cols, bias=None):
-    spec = NetworkSpec(
-        layer_widths=(2, 2, 1), has_bias=(bias is not None, False)
-    )
-    w2 = np.array([[1.0], [1.0]])
-    biases = [bias, None] if bias is not None else None
-    return build_network(spec, [np.asarray(w_cols, dtype=float), w2], biases)
-
-
-def test_overlap_opposite_nodes_disjoint():
-    t = two_node_teacher([[1.0, -1.0], [0.5, -0.5]])
-    rep = overlap_eps(t, GausStream(dim=2, std=1.0, seed=13), 20000)[0]
-    assert rep.eps_d == 0.0
-    assert rep.eps_l == 0.0
-
-
-def test_overlap_identical_nodes_full():
-    t = two_node_teacher([[1.0, 1.0], [0.5, 0.5]])
-    rep = overlap_eps(t, GausStream(dim=2, std=1.0, seed=14), 20000)[0]
-    assert abs(rep.eps_d - 1.0) < 1e-12
-    assert abs(rep.eps_l - 1.0) < 1e-12
-
-
-def test_overlap_dead_node_reported():
-    t = two_node_teacher([[1.0, 0.7], [0.5, -0.6]], bias=np.array([0.0, -100.0]))
-    rep = overlap_eps(t, GausStream(dim=2, std=1.0, seed=15), 5000)[0]
-    assert rep.eps_d == float("inf")
-    assert 1 in rep.dead_gate_nodes
-
-
-def test_overlap_grid_teacher_metadata():
-    t = make_teacher(TeacherSpec(layer_widths=(20, 10, 2), seed=0))
-    reports = overlap_eps(t, GausStream(dim=20, std=1.0, seed=16), 20000)
-    rep = reports[0]
-    assert np.isfinite(rep.eps_d) and rep.eps_d >= 0.0
-    assert np.isfinite(rep.eps_l) and rep.eps_l >= 0.0
-
-
-def test_overlap_needs_two_nodes():
-    t = two_node_teacher([[1.0, -1.0], [0.5, -0.5]])
-    narrow = build_network(
-        NetworkSpec(layer_widths=(2, 1, 1), has_bias=(False, False)),
-        [np.array([[1.0], [0.5]]), np.array([[1.0]])],
-    )
-    with pytest.raises(PreconditionError):
-        overlap_eps(narrow, GausStream(dim=2, std=1.0, seed=17), 100)
-
-
-# --------------------------------------------------------------- lipschitz
-
-
-def test_lipschitz_probe_deterministic_and_repeatable():
-    w = np.array([1.0, -0.4, 0.3])
-    a = lipschitz_probe(w, GausStream(dim=3, std=1.0, seed=18), 100000, seed=1)
-    b = lipschitz_probe(w, GausStream(dim=3, std=1.0, seed=18), 100000, seed=1)
-    assert a == b
-    c = lipschitz_probe(w, GausStream(dim=3, std=1.0, seed=19), 100000, seed=1)
-    assert abs(a.k_d - c.k_d) / a.k_d < 0.2
-    assert abs(a.k_l - c.k_l) / a.k_l < 0.2
-
-
-def test_lipschitz_small_offsets_see_worst_slope():
-    w = np.array([0.8, 0.6])
-    stream = lambda s: GausStream(dim=2, std=1.0, seed=s)
-    fine = lipschitz_probe(w, stream(20), 200000, delta_scales=(0.05,), seed=2)
-    coarse = lipschitz_probe(w, stream(20), 200000, delta_scales=(0.3,), seed=2)
-    assert fine.k_d > 0.0 and coarse.k_d > 0.0
-    assert fine.k_d >= 0.8 * coarse.k_d
-
-
-def test_lipschitz_validation():
-    stream = GausStream(dim=2, std=1.0, seed=21)
-    with pytest.raises(PreconditionError):
-        lipschitz_probe(np.zeros(2), stream, 1000)
-    with pytest.raises(PreconditionError):
-        lipschitz_probe(np.array([1.0, 0.0]), stream, 1000, delta_scales=(0.5,))
+        psi_d(np.array([1.0, 0.0]), np.array([1.0, 0.0]), stream, 1)

@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, overrides, end-to-end determinism."""
 
 import json
+import re
+
+import pytest
 
 from reludyn.cli import main
 
@@ -14,6 +17,37 @@ TINY_TRAIN = {
     "teacher": {"layer_widths": [4, 3, 2], "seed": 3},
     "student": {"overparam_factor": 2},
     "stream": {"std": 1.0},
+}
+
+# the schema's minimum sizes; on the dim-2 grid, 2 probe rows leave some
+# fall-off differences at exactly 0.0 with a 0.0 stderr
+TINY_GRID = {
+    "dim": 2, "teacher_width": 1, "outputs": 1, "overparams": [1],
+    "cells": [[0.0, 0.0]], "iterations": 1, "n_mc": 2, "probe_n": 2,
+}
+MIN_NET = {
+    "epochs": 0, "batches_per_epoch": 1, "batch_size": 1,
+    "teacher": {"layer_widths": [2, 1]},
+    "student": {"overparam_factor": 1},
+}
+MIN_HIDDEN = dict(MIN_NET, epochs=1, teacher={"layer_widths": [2, 1, 1]})
+MIN_SIZE_RUNS = {
+    "verify-identity": ("verify-identity", {"verify": {"n_trials": 1}}),
+    "train": ("train", MIN_NET),
+    "train-bn-batch-1": ("train", dict(
+        MIN_HIDDEN, student={"overparam_factor": 1, "bn_mode": "linear_relu_bn"},
+    )),
+    "train-finite-1": ("train", dict(
+        MIN_NET, epochs=1, stream={"mode": "finite", "n_samples": 1},
+    )),
+    "overparam-grid": ("overparam-grid", {"grid": TINY_GRID}),
+    "ablate": ("ablate", dict(
+        MIN_NET, kind="ablate_finite", ablate={"finite_sizes": [2]},
+    )),
+    "lottery": ("lottery", MIN_HIDDEN),
+    "bn-audit": ("bn-audit", MIN_HIDDEN),
+    "psi-check": ("psi-check", {"psi": {"n": 2}}),
+    "falloff": ("falloff", {"falloff": {"dim": 2, "n": 2, "n_directions": 1}}),
 }
 
 
@@ -139,18 +173,26 @@ def test_unwritable_out_dir_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_grid_noise_floor_exits_three_without_traceback(tmp_path, capsys):
-    # 256 probe rows leave too few fall-off points above the noise floor
-    cfg = write_config(tmp_path, {"grid": {
-        "iterations": 2, "overparams": [2], "cells": [[10.0, 10.0]],
-        "probe_n": 256,
-    }})
+def assert_noise_floor_exit(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, {"grid": grid})
     assert main(["overparam-grid", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: ")
+    assert err.startswith("numeric error: ") and "noise floor" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_grid_noise_floor_exits_three_without_traceback(tmp_path, capsys):
+    # 256 probe rows leave too few fall-off points above the noise floor
+    assert_noise_floor_exit(tmp_path, capsys, {
+        "iterations": 2, "overparams": [2], "cells": [[10.0, 10.0]],
+        "probe_n": 256,
+    })
+
+
+def test_grid_zero_differences_do_not_clear_noise_floor(tmp_path, capsys):
+    assert_noise_floor_exit(tmp_path, capsys, TINY_GRID)
 
 
 def test_grid_silent_filters_exit_three(tmp_path, capsys):
@@ -165,3 +207,17 @@ def test_grid_silent_filters_exit_three(tmp_path, capsys):
     assert err.startswith("numeric error: ") and "never fires" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(MIN_SIZE_RUNS))
+def test_min_size_configs_end_in_documented_exit_codes(tmp_path, name):
+    command, data = MIN_SIZE_RUNS[name]
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        for path in out.iterdir():
+            if path.suffix in (".csv", ".json"):
+                text = path.read_text()
+                assert not re.search(r"\bnan\b", text, re.IGNORECASE), path.name

@@ -645,6 +645,17 @@ def test_falloff_noise_floor_and_preconditions():
         quadratic_falloff_probe(w_star, (0.1, 0.2), stream, 100, tau=50.0)
 
 
+def test_falloff_zero_differences_do_not_clear_noise_floor():
+    # the c0 probe of a dim-2 grid with probe_n 2 (teacher seed 0, the
+    # grid's probe stream seed): on some directions the perturbed filter
+    # fires on neither row, so a difference and its stderr are both 0.0
+    w_star, _ = reduced_teacher(np.random.default_rng(0), 2, 1, 1)
+    stream = GausStream(dim=2, std=1.0, seed=1490961094)
+    with pytest.raises(NumericError, match="noise floor"):
+        quadratic_falloff_probe(w_star[:, 0], (0.05, 0.1, 0.2, 0.4), stream,
+                                2, n_directions=4, seed=0)
+
+
 def test_gate_slope_matches_plain_relu_geometry():
     # tau = 0: the joint-firing kernel is (pi - angle)/(2 pi), so the
     # relative slope along a quarter-circle geodesic peaks near
