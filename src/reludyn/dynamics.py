@@ -17,6 +17,19 @@ Gates may carry a positive firing threshold tau; the default 0 is the
 plain ReLU gate.  All estimators reuse one shared batch per step so that
 differences between student and teacher moments vanish with the
 mismatch, not with the square root of the sample count.
+
+Two kernel shortcuts are exact, not approximate:
+
+- The thresholded ReLU is max(z, 0), times the gate z > tau only when
+  tau > 0.  For tau >= 0 every z > tau is positive, so max(z, 0) is z
+  itself, and every other z ends as +0.0 (max gives +0.0 for z <= 0,
+  and a positive z times 0 is +0.0).  That equals the masked select
+  where(z > tau, z, 0) bit for bit, for every non-NaN z; a NaN z
+  propagates instead of turning into 0.
+- Gate Gram matrices multiply 0/1 gates, so every partial sum is an
+  integer no larger than the row count.  Below 2**24 rows such integers
+  are exact in float32, so the float32 product, cast to float64 before
+  dividing by the row count, has the same bits as the float64 product.
 """
 
 from __future__ import annotations
@@ -35,17 +48,34 @@ from .errors import (
 from .teachers import GausStream, next_batch
 
 NORM_FLOOR = 1e-6
+# integers up to 2**24 are exact in float32 (24-bit significand)
+EXACT_COUNT_ROWS = 2**24
 
 
 # ------------------------------------------------------------------ moments
 
 
-def _gate(z: np.ndarray, tau: float) -> np.ndarray:
-    return (z > tau).astype(float)
+def _count_dtype(n: int) -> type:
+    """Narrowest float dtype whose 0/1 Gram counts over n rows are exact."""
+    return np.float32 if n < EXACT_COUNT_ROWS else np.float64
+
+
+def _gate(z: np.ndarray, tau: float, dtype: type = float) -> np.ndarray:
+    return (z > tau).astype(dtype)
+
+
+def _gram_mean(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Mean of 0/1 gate products, counted in the gates' dtype."""
+    return (a.T @ b).astype(float) / n
 
 
 def _relu(z: np.ndarray, tau: float) -> np.ndarray:
-    return np.where(z > tau, z, 0.0)
+    if not tau >= 0.0:
+        raise PreconditionError(f"gate threshold must be >= 0, got {tau!r}")
+    f = np.maximum(z, 0.0)
+    if tau > 0.0:
+        f *= z > tau
+    return f
 
 
 def _gates(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
@@ -60,13 +90,6 @@ def _stderr(m: np.ndarray, sq: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(sq - m * m, 0.0) / n)
 
 
-def _moment_with_err(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    m = a.T @ b / n
-    sq = (a * a).T @ (b * b) / n
-    return m, _stderr(m, sq, n)
-
-
 def gate_moments(x: np.ndarray, w: np.ndarray, w_star: np.ndarray,
                  tau: float = 0.0):
     """Shared-batch student-student and student-target gate moments.
@@ -75,22 +98,30 @@ def gate_moments(x: np.ndarray, w: np.ndarray, w_star: np.ndarray,
     second moment equals its mean exactly (both are integer counts over
     the batch size) and the stderrs need no further matmul.
     """
-    g = _gates(x, w, tau)
-    g_star = _gates(x, w_star, tau)
     n = x.shape[0]
-    d = g.T @ g / n
-    ds = g.T @ g_star / n
+    dtype = _count_dtype(n)
+    g = _gate(x @ w, tau, dtype)
+    g_star = _gate(x @ w_star, tau, dtype)
+    d = _gram_mean(g, g, n)
+    ds = _gram_mean(g, g_star, n)
     return d, ds, _stderr(d, d, n), _stderr(ds, ds, n)
 
 
 def act_moments(x: np.ndarray, w: np.ndarray, w_star: np.ndarray,
                 tau: float = 0.0):
-    """Shared-batch activation moments (l, l_star, l_err, l_star_err)."""
+    """Shared-batch activation moments (l, l_star, l_err, l_star_err).
+
+    Each feature matrix is squared once; the self second moment is the
+    symmetric product f2.T @ f2.
+    """
     f = _acts(x, w, tau)
     f_star = _acts(x, w_star, tau)
-    l, l_err = _moment_with_err(f, f)
-    ls, ls_err = _moment_with_err(f, f_star)
-    return l, ls, l_err, ls_err
+    f2 = f * f
+    n = x.shape[0]
+    l = f.T @ f / n
+    ls = f.T @ f_star / n
+    return (l, ls, _stderr(l, f2.T @ f2 / n, n),
+            _stderr(ls, f2.T @ (f_star * f_star) / n, n))
 
 
 def self_moments(x: np.ndarray, w: np.ndarray,
@@ -101,10 +132,10 @@ def self_moments(x: np.ndarray, w: np.ndarray,
     act_moments(x, w, w, tau)[0], without their cross pair and stderrs.
     """
     z = x @ w
-    g = _gate(z, tau)
-    f = _relu(z, tau)
     n = x.shape[0]
-    return g.T @ g / n, f.T @ f / n
+    g = _gate(z, tau, _count_dtype(n))
+    f = _relu(z, tau)
+    return _gram_mean(g, g, n), f.T @ f / n
 
 
 def drive_stderr(d_star_err: np.ndarray, d_err: np.ndarray) -> np.ndarray:
@@ -121,7 +152,8 @@ def drive_stderr(d_star_err: np.ndarray, d_err: np.ndarray) -> np.ndarray:
 
 def _unit_columns(w: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(w, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    # written so that a NaN norm fails too
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
         raise PreconditionError(f"{what} columns must be unit norm")
 
 
@@ -584,7 +616,9 @@ def monitor_hypotheses(state: TwoLayerState, ledger: ConstantLedger, t: int,
     z = x @ state.w
     z_t = x @ state.targets
     nb = x.shape[0]
-    d_star = _gate(z, state.tau).T @ _gate(z_t, state.tau) / nb
+    dtype = _count_dtype(nb)
+    d_star = _gram_mean(_gate(z, state.tau, dtype),
+                        _gate(z_t, state.tau, dtype), nb)
     l_star = _relu(z, state.tau).T @ _relu(z_t, state.tau) / nb
     off = ~np.eye(n, dtype=bool)
     slack_sep = math.inf

@@ -261,9 +261,10 @@ class RunLog:
     """Everything one experiment produced, ready for emission.
 
     Rows hold only str/int/float/bool/None so the CSV bytes are a pure
-    function of the values; wall_clock is reported in meta only and never
-    enters a CSV.  Runners fill the results; run_experiment sets kind,
-    config, config_hash and wall_clock.
+    function of the values; wall_clock and the per-phase timings (seconds
+    by phase name) are reported in meta only and never enter a CSV.
+    Runners fill the results and may fill timings; run_experiment sets
+    kind, config, config_hash and wall_clock.
     """
 
     rows: list[dict]
@@ -272,6 +273,7 @@ class RunLog:
     ledgers: dict = field(default_factory=dict)
     assumptions: list[dict] = field(default_factory=list)
     failed: bool = False
+    timings: dict[str, float] = field(default_factory=dict)
     kind: str = ""
     config: dict = field(default_factory=dict)
     config_hash: str = ""
@@ -958,8 +960,11 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     infeasible ledger downgrades the cell to free-run (trajectories still
     run, the marking lands in the ledger block and the row tags).
     Per-iteration mean and std across seeds mirror the row-norm panels.
+    The c0 probe, the per-cell ledgers and the trajectory units are
+    timed as phases.
     """
     g = cfg.grid
+    t0 = time.perf_counter()
     w_star, v_star = reduced_teacher(
         np.random.default_rng(g["teacher_seed"]), g["dim"],
         g["teacher_width"], g["outputs"],
@@ -969,6 +974,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
         GausStream(dim=g["dim"], std=1.0, seed=_derive_seed(4)),
         int(g["probe_n"]), n_directions=4, seed=0, tau=g["tau"],
     )
+    t1 = time.perf_counter()
     cells = [
         (int(o), float(pw), float(pv))
         for o in g["overparams"] for pw, pv in g["cells"]
@@ -994,6 +1000,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
             "cell_mode": cell_mode,
         }
         cell_info.append((ci, o, p_w, p_v, ledger, cell_mode))
+    t2 = time.perf_counter()
     payloads = []
     for ci, o, p_w, p_v, ledger, cell_mode in cell_info:
         for seed in cfg.seeds:
@@ -1006,6 +1013,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
                 "detail": first,
             })
     results = _parallel_map(_grid_unit, payloads, cfg.workers)
+    t3 = time.perf_counter()
     rows = [r for res in results for r in res["rows"]]
     monitors = [mrow for res in results for mrow in res["monitors"]]
     tables = {"monitors": monitors} if monitors else {}
@@ -1038,6 +1046,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
             rows, ("overparam", "p_w", "p_v", "iteration"), "meanstd",
         ),
         tables=tables, ledgers=ledgers, assumptions=assumptions,
+        timings={"c0_probe": t1 - t0, "ledgers": t2 - t1, "units": t3 - t2},
     )
 
 
@@ -1150,6 +1159,8 @@ def emit_reports(log: RunLog, out_dir, plots: bool = False) -> list[Path]:
         "row_count": len(log.rows),
         "wall_clock_s": round(log.wall_clock, 3),
     }
+    if log.timings:
+        meta["timings_s"] = {k: round(v, 3) for k, v in log.timings.items()}
     path = out / "meta.json"
     path.write_text(
         json.dumps(_jsonable(meta), sort_keys=True, indent=2) + "\n",

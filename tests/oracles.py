@@ -3,8 +3,8 @@
 Everything here is deliberately written without reusing the package's
 backward pass or constants code: finite differences through the forward
 evaluation, brute-force 2D Monte Carlo, arc-cosine kernel closed forms,
-and a second, separately coded arithmetic path for the
-convergence-constant ledgers.
+the two-matmul mean±stderr moment formula, and a second, separately
+coded arithmetic path for the convergence-constant ledgers.
 """
 
 from __future__ import annotations
@@ -195,6 +195,14 @@ def arccos_kernels(w: np.ndarray, w_star: np.ndarray):
     d = (np.pi - theta) / (2.0 * np.pi)
     lam = norms * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
     return d, lam
+
+
+def moment_with_err(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean a.T @ b / n and its stderr from a second matmul of the squares."""
+    n = a.shape[0]
+    m = a.T @ b / n
+    sq = (a * a).T @ (b * b) / n
+    return m, np.sqrt(np.maximum(sq - m * m, 0.0) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     arccos_kernels,
+    moment_with_err,
     single_layer_ledger_oracle,
     two_layer_ledger_oracle,
 )
@@ -15,8 +16,10 @@ from reludyn.dynamics import (
     ConstantLedger,
     SingleLayerState,
     TwoLayerState,
+    EXACT_COUNT_ROWS,
+    _count_dtype,
     _gates,
-    _moment_with_err,
+    _relu,
     act_moments,
     column_angles,
     gate_moments,
@@ -105,8 +108,80 @@ def test_gate_stderr_equals_two_matmul_formula(seed, n, dim, width, tau):
     w_star = rng.normal(size=(dim, width + 1))
     g, g_star = _gates(x, w, tau), _gates(x, w_star, tau)
     _, _, d_err, ds_err = gate_moments(x, w, w_star, tau)
-    assert np.array_equal(d_err, _moment_with_err(g, g)[1])
-    assert np.array_equal(ds_err, _moment_with_err(g, g_star)[1])
+    assert np.array_equal(d_err, moment_with_err(g, g)[1])
+    assert np.array_equal(ds_err, moment_with_err(g, g_star)[1])
+
+
+RELU_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.3, 1.0,
+                 math.nextafter(0.3, 1.0), math.nextafter(0.3, 0.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+       log_scale=st.floats(-300.0, 300.0),
+       tau=st.sampled_from([0.0, -0.0, 0.3, 1.0]))
+def test_relu_bit_equal_to_masked_select(seed, n, log_scale, tau):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 3)) * 10.0**log_scale
+    specials = rng.choice(RELU_SPECIALS, size=z.shape)
+    z = np.where(rng.random(size=z.shape) < 0.3, specials, z)
+    ref = np.where(z > tau, z, 0.0)
+    assert np.array_equal(_relu(z, tau).view(np.int64), ref.view(np.int64))
+
+
+def test_relu_rejects_negative_or_nan_threshold_and_keeps_nan_inputs():
+    z = np.array([-1.0, 0.5, 2.0])
+    for tau in (-0.3, -5e-324, math.nan):
+        with pytest.raises(PreconditionError):
+            _relu(z, tau)
+    for tau in (0.0, 0.3):
+        assert np.isnan(_relu(np.array([math.nan]), tau)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30_000),
+       width=st.integers(1, 12), tau=st.sampled_from([0.0, 0.3, 1.0]))
+def test_gate_means_bit_equal_to_float64_counts(seed, n, width, tau):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5))
+    w = random_unit_columns(5, width, rng)
+    w_star = random_unit_columns(5, width + 1, rng)
+    g = (x @ w > tau).astype(np.float64)
+    g_star = (x @ w_star > tau).astype(np.float64)
+    d, ds, d_err, ds_err = gate_moments(x, w, w_star, tau)
+    assert d.dtype == ds.dtype == np.float64
+    assert np.array_equal(d, g.T @ g / n)
+    assert np.array_equal(ds, g.T @ g_star / n)
+    assert np.array_equal(d_err, moment_with_err(g, g)[1])
+    assert np.array_equal(ds_err, moment_with_err(g, g_star)[1])
+    assert np.array_equal(self_moments(x, w, tau)[0], g.T @ g / n)
+
+
+def test_gate_count_dtype_switches_at_exact_float32_limit():
+    assert EXACT_COUNT_ROWS == 2**24
+    assert _count_dtype(1) is np.float32
+    assert _count_dtype(2**24 - 1) is np.float32
+    assert _count_dtype(2**24) is np.float64
+    # every count up to the last float32 row count is an exact integer
+    assert float(np.float32(2**24 - 1)) == 2**24 - 1
+    assert float(np.float32(2**24 + 1)) != 2**24 + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000),
+       width=st.integers(1, 12), tau=st.sampled_from([0.0, 0.3, 1.0]))
+def test_act_moments_match_two_matmul_formula(seed, n, width, tau):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5))
+    w = random_unit_columns(5, width, rng)
+    w_star = random_unit_columns(5, width + 1, rng)
+    f = np.where(x @ w > tau, x @ w, 0.0)
+    f_star = np.where(x @ w_star > tau, x @ w_star, 0.0)
+    l, ls, l_err, ls_err = act_moments(x, w, w_star, tau)
+    for est, err, (m_ref, err_ref) in ((l, l_err, moment_with_err(f, f)),
+                                       (ls, ls_err, moment_with_err(f, f_star))):
+        assert np.array_equal(est, m_ref)
+        assert np.allclose(err, err_ref, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------- single-layer ledger
@@ -314,6 +389,12 @@ def test_single_state_validation():
         SingleLayerState(w=w, w_star=w[:, :2], eta=0.1)
     with pytest.raises(ConfigurationError):
         SingleLayerState(w=w, w_star=w, eta=0.0)
+    nan_w = np.eye(3)[:, :2]
+    nan_w[0, 0] = math.nan
+    with pytest.raises(PreconditionError):
+        SingleLayerState(w=nan_w, w_star=np.eye(3)[:, :2], eta=0.1)
+    with pytest.raises(PreconditionError):
+        SingleLayerState(w=np.eye(3)[:, :2], w_star=nan_w, eta=0.1)
     state = SingleLayerState(w=w, w_star=w, eta=0.1)
     assert np.allclose(state.thetas, 0.0, atol=1e-7)
 

@@ -1,5 +1,6 @@
 """Runner, config, and report-emission behavior."""
 
+import dataclasses
 import json
 import math
 
@@ -459,6 +460,27 @@ def test_emit_grid_plots_one_per_cell(tmp_path):
     files = emit_reports(log, tmp_path, plots=True)
     names = {f.name for f in files}
     assert "cell_x2_pw10_pv10.svg" in names
+
+
+def test_grid_meta_records_phase_timings_outside_summary(tmp_path):
+    log = run_experiment(tiny_grid(seeds=[0]))
+    phases = {"c0_probe", "ledgers", "units"}
+    assert set(log.timings) == phases
+    assert sum(log.timings.values()) <= log.wall_clock
+    emit_reports(log, tmp_path / "timed")
+    emit_reports(dataclasses.replace(log, timings={}), tmp_path / "untimed")
+    timed, untimed = tmp_path / "timed", tmp_path / "untimed"
+    assert ((timed / "summary.csv").read_bytes()
+            == (untimed / "summary.csv").read_bytes())
+    meta = json.loads((timed / "meta.json").read_text())
+    timings = meta.pop("timings_s")
+    assert set(timings) == phases
+    assert all(v >= 0.0 and v == round(v, 3) for v in timings.values())
+    assert meta == json.loads((untimed / "meta.json").read_text())
+    # runners that record no phases keep meta.json as it was
+    emit_reports(run_experiment(tiny_train(epochs=0)), tmp_path / "train")
+    assert "timings_s" not in json.loads(
+        (tmp_path / "train" / "meta.json").read_text())
 
 
 def test_emit_handles_nonfinite_ledger_values(tmp_path):
