@@ -18,10 +18,8 @@ from .net import (
     build_network,
     filter_norms,
     forward,
-    from_json,
     sgd_step,
     squared_loss,
-    to_json,
 )
 from .teachers import (
     GausStream,
@@ -76,7 +74,6 @@ from .experiments import (
     RunLog,
     config_hash,
     emit_reports,
-    load_config,
     make_config,
     run_experiment,
 )

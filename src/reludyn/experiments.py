@@ -50,10 +50,8 @@ from .net import (
     backward,
     build_network,
     forward,
-    from_json,
     sgd_step,
     squared_loss,
-    to_json,
 )
 from .teachers import (
     GausStream,
@@ -63,19 +61,6 @@ from .teachers import (
     make_teacher,
     next_batch,
     teacher_labels,
-)
-
-KINDS = (
-    "verify_identity",
-    "train",
-    "overparam_grid",
-    "ablate_size",
-    "ablate_overparam",
-    "ablate_finite",
-    "lottery",
-    "bn_audit",
-    "psi_check",
-    "falloff_probe",
 )
 
 # Role offsets keep the init, the training stream, and the evaluation
@@ -246,16 +231,6 @@ def make_config(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON config file.  OS errors propagate."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    return make_config(data)
-
-
 @dataclass
 class RunLog:
     """Everything one experiment produced, ready for emission.
@@ -412,19 +387,16 @@ def _run_training(teacher: Network, student: Network, *, eta: float,
 
 def _train_unit(payload: dict) -> dict:
     teacher = make_teacher(TeacherSpec(**payload["teacher"]))
-    if payload.get("net_json") is not None:
-        student = from_json(payload["net_json"])
-    else:
-        s = payload["student"]
-        student = make_student(
-            teacher,
-            StudentInit(
-                overparam_factor=s["overparam_factor"],
-                p_w=s["p_w"], p_v=s["p_v"], seed=payload["init_seed"],
-            ),
-            bn_mode=s["bn_mode"],
-        )
-    rows, trained, finals, diverged = _run_training(
+    s = payload["student"]
+    student = make_student(
+        teacher,
+        StudentInit(
+            overparam_factor=s["overparam_factor"],
+            p_w=s["p_w"], p_v=s["p_v"], seed=payload["init_seed"],
+        ),
+        bn_mode=s["bn_mode"],
+    )
+    rows, trained, _, diverged = _run_training(
         teacher, student,
         eta=payload["eta"], epochs=payload["epochs"],
         batches_per_epoch=payload["batches_per_epoch"],
@@ -432,20 +404,14 @@ def _train_unit(payload: dict) -> dict:
         stream_seed=payload["stream_seed"], val_seed=payload["val_seed"],
     )
     tagged = [dict(payload["tags"], seed=payload["seed"], **r) for r in rows]
-    out = {
+    return {
         "seed": payload["seed"], "tags": payload["tags"],
-        "rows": tagged, "diverged": diverged,
+        "rows": tagged, "diverged": diverged, "net": trained,
     }
-    if payload.get("return_net"):
-        out["net"] = to_json(trained)
-        out["rho"] = [cm.rho for cm in finals]
-    return out
 
 
 def _train_payload(cfg: ExperimentConfig, seed: int, *, teacher=None,
-                   student=None, stream=None, tags=None, epochs=None,
-                   stream_seed=None, init_seed=None, net_json=None,
-                   return_net=False) -> dict:
+                   student=None, stream=None, tags=None) -> dict:
     return {
         "seed": seed,
         "teacher": teacher if teacher is not None else cfg.teacher,
@@ -453,20 +419,21 @@ def _train_payload(cfg: ExperimentConfig, seed: int, *, teacher=None,
         "stream": stream if stream is not None else cfg.stream,
         "tags": tags or {},
         "eta": cfg.eta,
-        "epochs": cfg.epochs if epochs is None else epochs,
+        "epochs": cfg.epochs,
         "batches_per_epoch": cfg.batches_per_epoch,
         "batch_size": cfg.batch_size,
-        "stream_seed": (seed + TRAIN_STREAM_OFF if stream_seed is None
-                        else stream_seed),
+        "init_seed": seed,
+        "stream_seed": seed + TRAIN_STREAM_OFF,
         "val_seed": seed + VAL_STREAM_OFF,
-        "init_seed": seed if init_seed is None else init_seed,
-        "net_json": net_json,
-        "return_net": return_net,
     }
 
 
 def run_train(cfg: ExperimentConfig) -> RunLog:
-    """Train one student per seed; emit per-epoch metrics and min/max."""
+    """Train one student per seed; emit per-epoch metrics and min/max.
+
+    A bn_audit run also reports the sign split of each trained student's
+    BN shifts.
+    """
     payloads = [_train_payload(cfg, seed) for seed in cfg.seeds]
     results = _parallel_map(_train_unit, payloads, cfg.workers)
     rows = [r for res in results for r in res["rows"]]
@@ -474,21 +441,15 @@ def run_train(cfg: ExperimentConfig) -> RunLog:
         {"seed": res["seed"], "diverged": bool(res["diverged"])}
         for res in results
     ]
-    return RunLog(
+    log = RunLog(
         rows=rows, aggregates=_aggregate(rows, ("epoch",), "minmax"),
         assumptions=assumptions,
     )
-
-
-def run_bn_audit(cfg: ExperimentConfig) -> RunLog:
-    """Train under BN and report the sign split of the learned shifts."""
-    payloads = [_train_payload(cfg, seed, return_net=True) for seed in cfg.seeds]
-    results = _parallel_map(_train_unit, payloads, cfg.workers)
-    rows = [r for res in results for r in res["rows"]]
+    if cfg.kind != "bn_audit":
+        return log
     bias_rows, hist_rows = [], []
     for res in results:
-        net = from_json(res["net"])
-        for rep in bn_bias_audit(net):
+        for rep in bn_bias_audit(res["net"]):
             bias_rows.append({
                 "seed": res["seed"], "layer": rep.layer,
                 "n_negative": rep.n_negative, "n_positive": rep.n_positive,
@@ -500,10 +461,8 @@ def run_bn_audit(cfg: ExperimentConfig) -> RunLog:
                     "hi": float(rep.bin_edges[b + 1]),
                     "count": int(rep.counts[b]),
                 })
-    return RunLog(
-        rows=rows, aggregates=_aggregate(rows, ("epoch",), "minmax"),
-        tables={"bn_bias": bias_rows, "bn_bias_hist": hist_rows},
-    )
+    log.tables = {"bn_bias": bias_rows, "bn_bias_hist": hist_rows}
+    return log
 
 
 def run_ablations(cfg: ExperimentConfig) -> RunLog:
@@ -611,17 +570,17 @@ def _lottery_unit(payload: dict) -> dict:
     student0 = make_student(
         teacher,
         StudentInit(overparam_factor=s["overparam_factor"],
-                    p_w=s["p_w"], p_v=s["p_v"], seed=seed),
+                    p_w=s["p_w"], p_v=s["p_v"], seed=payload["init_seed"]),
         bn_mode="none",
     )
     common = dict(
         eta=payload["eta"], batches_per_epoch=payload["batches_per_epoch"],
         batch_size=payload["batch_size"], stream_cfg=payload["stream"],
-        val_seed=seed + VAL_STREAM_OFF,
+        val_seed=payload["val_seed"],
     )
     base_rows, _, finals, _ = _run_training(
         teacher, student0, epochs=payload["epochs"],
-        stream_seed=seed + TRAIN_STREAM_OFF, **common,
+        stream_seed=payload["stream_seed"], **common,
     )
     keep, contested = [], []
     for cm in finals:
@@ -1058,7 +1017,7 @@ _RUNNERS = {
     "ablate_overparam": run_ablations,
     "ablate_finite": run_ablations,
     "lottery": run_lottery,
-    "bn_audit": run_bn_audit,
+    "bn_audit": run_train,
     "psi_check": run_psi_check,
     "falloff_probe": run_falloff,
 }

@@ -170,7 +170,7 @@ class BNSite:
     mu: np.ndarray  # batch mean per channel
     sigma: np.ndarray  # sqrt(batch var + BN_EPS) per channel
     f_tilde: np.ndarray  # whitened activation (f_in - mu) / sigma
-    c0: np.ndarray  # scale in effect at forward time
+    c0: np.ndarray  # the net's own scale array; parameters are never mutated
 
 
 @dataclass
@@ -252,7 +252,7 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
             site = None
         elif mode == "linear_bn_relu":
             mu, sigma, f_tilde = _bn_stats(pre)
-            site = BNSite(pre, mu, sigma, f_tilde, net.bn_c0[li].copy())
+            site = BNSite(pre, mu, sigma, f_tilde, net.bn_c0[li])
             y = net.bn_c0[li] * f_tilde + net.bn_c1[li]
             gate = (y > 0).astype(np.float64)
             act = gate * y
@@ -262,7 +262,7 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
             act = gate * pre
             if mode == "linear_relu_bn":
                 mu, sigma, f_tilde = _bn_stats(act)
-                site = BNSite(act, mu, sigma, f_tilde, net.bn_c0[li].copy())
+                site = BNSite(act, mu, sigma, f_tilde, net.bn_c0[li])
                 out = net.bn_c0[li] * f_tilde + net.bn_c1[li]
             else:
                 site = None
@@ -355,30 +355,18 @@ def squared_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
 
 
 def sgd_step(net: Network, grads: GradientSet, eta: float) -> Network:
-    """One gradient step: every parameter moves by +eta * its entry."""
-    for arrs in (grads.weights, grads.biases, grads.bn_c0, grads.bn_c1):
-        for a in arrs:
-            if a is not None and not np.all(np.isfinite(a)):
-                raise NumericError("non-finite gradient entries")
-    step = lambda p, g: p if g is None else p + eta * g
+    """One gradient step: every parameter moves by +eta * its entry.
+
+    A non-finite gradient entry makes a non-finite parameter, which the
+    Network constructor rejects with NumericError.
+    """
+    step = lambda p, g: p if p is None or g is None else p + eta * g
     return Network(
         spec=net.spec,
-        weights=tuple(
-            net.weights[li] + eta * grads.weights[li]
-            for li in range(net.n_layers)
-        ),
-        biases=tuple(
-            step(net.biases[li], grads.biases[li]) if net.biases[li] is not None else None
-            for li in range(net.n_layers)
-        ),
-        bn_c0=tuple(
-            step(net.bn_c0[li], grads.bn_c0[li]) if net.bn_c0[li] is not None else None
-            for li in range(net.n_layers)
-        ),
-        bn_c1=tuple(
-            step(net.bn_c1[li], grads.bn_c1[li]) if net.bn_c1[li] is not None else None
-            for li in range(net.n_layers)
-        ),
+        weights=tuple(map(step, net.weights, grads.weights)),
+        biases=tuple(map(step, net.biases, grads.biases)),
+        bn_c0=tuple(map(step, net.bn_c0, grads.bn_c0)),
+        bn_c1=tuple(map(step, net.bn_c1, grads.bn_c1)),
     )
 
 
@@ -386,59 +374,3 @@ def filter_norms(net: Network) -> list[np.ndarray]:
     """Euclidean norm of each weight column per layer, biases excluded."""
     return [np.linalg.norm(w, axis=0) for w in net.weights]
 
-
-def to_json(net: Network) -> dict:
-    """Portable dict form: widths, bn_mode, and per-layer parameter lists."""
-    layers = []
-    for li in range(net.n_layers):
-        entry: dict = {"w": net.weights[li].ravel(order="C").tolist()}
-        if net.biases[li] is not None:
-            entry["b"] = net.biases[li].tolist()
-        if net.bn_c0[li] is not None:
-            entry["c0"] = net.bn_c0[li].tolist()
-            entry["c1"] = net.bn_c1[li].tolist()
-        layers.append(entry)
-    return {
-        "widths": list(net.spec.layer_widths),
-        "bn_mode": net.spec.bn_mode,
-        "layers": layers,
-    }
-
-
-def from_json(data: dict) -> Network:
-    """Inverse of to_json.  Weight arrays are row-major (input x output)."""
-    try:
-        widths = tuple(int(w) for w in data["widths"])
-        bn_mode = data["bn_mode"]
-        layers = data["layers"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed network JSON: {exc}") from exc
-    if len(layers) != len(widths) - 1:
-        raise ConfigurationError("layer count does not match widths")
-    has_bias = tuple("b" in entry for entry in layers)
-    spec = NetworkSpec(layer_widths=widths, bn_mode=bn_mode, has_bias=has_bias)
-    weights, biases, c0s, c1s = [], [], [], []
-    for li, entry in enumerate(layers):
-        shape = (widths[li], widths[li + 1])
-        w = np.asarray(entry["w"], dtype=np.float64)
-        if w.size != shape[0] * shape[1]:
-            raise ConfigurationError(f"layer {li}: wrong weight count")
-        weights.append(w.reshape(shape, order="C"))
-        biases.append(
-            np.asarray(entry["b"], dtype=np.float64) if "b" in entry else None
-        )
-        if spec.has_bn(li):
-            if "c0" not in entry or "c1" not in entry:
-                raise ConfigurationError(f"layer {li}: missing BN params")
-            c0s.append(np.asarray(entry["c0"], dtype=np.float64))
-            c1s.append(np.asarray(entry["c1"], dtype=np.float64))
-        else:
-            c0s.append(None)
-            c1s.append(None)
-    return Network(
-        spec=spec,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        bn_c0=tuple(c0s),
-        bn_c1=tuple(c1s),
-    )

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from reludyn.cli import main
+from reludyn.cli import _ABLATE_KINDS, _SUBCOMMANDS, main
+from reludyn.experiments import _RUNNERS, _schema
 
 TINY_TRAIN = {
     "kind": "train",
@@ -55,6 +56,13 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_schema_runners_and_subcommands_name_the_same_kinds():
+    schema_kinds = set(_schema()["properties"]["kind"]["enum"])
+    cli_kinds = {k for k in _SUBCOMMANDS.values() if k is not None}
+    assert schema_kinds == set(_RUNNERS)
+    assert schema_kinds == cli_kinds | set(_ABLATE_KINDS)
 
 
 def test_train_roundtrip_and_determinism(tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from reludyn import experiments
 from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
 from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
@@ -14,10 +15,10 @@ from reludyn.experiments import (
     _measure_cell_ledger,
     config_hash,
     emit_reports,
-    load_config,
     make_config,
     run_experiment,
 )
+from reludyn.net import backward, build_network, forward
 
 
 def tiny_train(**over):
@@ -107,21 +108,6 @@ def test_lottery_config_rejects_bn():
 def test_bn_audit_defaults_to_bn_student():
     cfg = make_config({"kind": "bn_audit"})
     assert cfg.student["bn_mode"] == "linear_relu_bn"
-
-
-def test_load_config_file(tmp_path):
-    data = {"kind": "train", "seeds": [4]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    cfg = load_config(path)
-    assert cfg.config_hash == make_config(data).config_hash
-
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    with pytest.raises(ConfigurationError):
-        load_config(bad)
-    with pytest.raises(OSError):
-        load_config(tmp_path / "missing.json")
 
 
 # ------------------------------------------------------------------ train
@@ -273,21 +259,94 @@ def test_lottery_arms_and_winner_accounting():
 # --------------------------------------------------------------- bn audit
 
 
-def test_bn_audit_tables_cover_hidden_layers():
-    cfg = make_config({
+def tiny_bn_audit(**over):
+    data = {
         "kind": "bn_audit", "seeds": [0], "epochs": 1,
         "batches_per_epoch": 5, "batch_size": 32, "eta": 0.005,
         "teacher": {"layer_widths": [5, 4, 3], "seed": 2},
         "student": {"overparam_factor": 2},
         "stream": {"std": 1.0},
-    })
-    log = run_experiment(cfg)
+    }
+    data.update(over)
+    return make_config(data)
+
+
+def test_bn_audit_tables_cover_hidden_layers():
+    log = run_experiment(tiny_bn_audit())
     bias = log.tables["bn_bias"]
     assert [b["layer"] for b in bias] == [0]
     assert bias[0]["n_negative"] + bias[0]["n_positive"] == 8
     hist = log.tables["bn_bias_hist"]
     assert len(hist) == 20
     assert sum(h["count"] for h in hist) == 8
+    assert log.assumptions == [{"seed": 0, "diverged": False}]
+
+
+def test_bn_audit_parallel_matches_serial():
+    # the trained students cross the process pool before the audit
+    serial = run_experiment(tiny_bn_audit(seeds=[0, 1], workers=1))
+    pooled = run_experiment(tiny_bn_audit(seeds=[0, 1], workers=2))
+    assert serial.rows == pooled.rows
+    assert serial.aggregates == pooled.aggregates
+    assert serial.assumptions == pooled.assumptions
+    for name in ("bn_bias", "bn_bias_hist"):
+        assert serial.tables[name] == pooled.tables[name]
+    assert {b["seed"] for b in serial.tables["bn_bias"]} == {0, 1}
+
+
+def test_backward_calls_keep_the_bn_step_contract(monkeypatch):
+    """What bench/child.py's check_bn_step reads from a captured step.
+
+    It wraps backward, keeps the first call's (network, trace, target)
+    and result, lets the run finish, then reads trace.bn[i].f_in,
+    trace.x, grads.node and grads.weights and evaluates
+    dataclasses.replace(network, weights=...) with forward.
+    """
+    captured = []
+
+    def capture(*args, **kwargs):
+        assert not kwargs  # called positionally
+        grads = backward(*args, **kwargs)
+        if not captured:
+            network, trace, target = args
+            frozen = [np.array(a) for a in _step_arrays(network, trace, grads)]
+            captured.append((args, grads, frozen, np.array(target)))
+        return grads
+
+    monkeypatch.setattr(experiments, "backward", capture)
+    run_experiment(tiny_train(
+        seeds=[0], student={"overparam_factor": 2, "bn_mode": "linear_bn_relu"},
+    ))
+    (network, trace, target), grads, frozen, target0 = captured[0]
+    # no captured array moved while the run went on
+    after = _step_arrays(network, trace, grads)
+    assert len(after) == len(frozen)
+    for a, b in zip(after, frozen):
+        assert np.array_equal(a, b)
+    assert np.array_equal(target, target0)
+    assert len(grads.node) == len(grads.weights) == network.n_layers
+    sites = [site for site in trace.bn if site is not None]
+    assert len(sites) == network.n_layers - 1
+    for hi, site in enumerate(trace.bn[:-1]):
+        assert site.f_in.shape == grads.node[hi].shape
+    ws = list(network.weights)
+    ws[0] = ws[0] * 1.5
+    moved = dataclasses.replace(network, weights=tuple(ws))
+    rebuilt = build_network(network.spec, ws, list(network.biases),
+                            list(network.bn_c0), list(network.bn_c1))
+    out = forward(moved, trace.x).outputs
+    assert np.array_equal(out, forward(rebuilt, trace.x).outputs)
+    assert not np.array_equal(out, forward(network, trace.x).outputs)
+
+
+def _step_arrays(network, trace, grads) -> list:
+    params = [*network.weights, *network.biases, *network.bn_c0, *network.bn_c1]
+    sites = [a for site in trace.bn if site is not None
+             for a in (site.f_in, site.mu, site.sigma, site.f_tilde, site.c0)]
+    traced = [trace.x, *trace.pre, *trace.gate, *trace.act, *trace.out]
+    grad = [*grads.node, *grads.weights, *grads.biases, *grads.bn_c0,
+            *grads.bn_c1]
+    return [a for a in params + sites + traced + grad if a is not None]
 
 
 # --------------------------------------------------------- check runners
