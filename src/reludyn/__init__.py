@@ -57,6 +57,7 @@ from .dynamics import (
     act_slope_on_geodesics,
     column_angles,
     gate_slope_on_geodesics,
+    geodesic_slopes,
     mixed_two_layer_init,
     monitor_hypotheses,
     quadratic_falloff_probe,

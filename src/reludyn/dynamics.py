@@ -18,7 +18,7 @@ plain ReLU gate.  All estimators reuse one shared batch per step so that
 differences between student and teacher moments vanish with the
 mismatch, not with the square root of the sample count.
 
-Two kernel shortcuts are exact, not approximate:
+Three kernel shortcuts are exact, not approximate:
 
 - The thresholded ReLU is max(z, 0), times the gate z > tau only when
   tau > 0.  For tau >= 0 every z > tau is positive, so max(z, 0) is z
@@ -30,6 +30,14 @@ Two kernel shortcuts are exact, not approximate:
   integer no larger than the row count.  Below 2**24 rows such integers
   are exact in float32, so the float32 product, cast to float64 before
   dividing by the row count, has the same bits as the float64 product.
+  The same holds for any split of the rows into blocks and for a
+  count_nonzero of the joint gate, since every partial count is such an
+  integer.
+- The geodesic slope probe projects the batch onto each path point once
+  and both kernels read that projection: it is the same matrix-vector
+  product each kernel made on its own, so the values keep their bits.
+  Stacking the points into one matrix product would not: its sums may
+  run in another order.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ from .teachers import GausStream, next_batch
 NORM_FLOOR = 1e-6
 # integers up to 2**24 are exact in float32 (24-bit significand)
 EXACT_COUNT_ROWS = 2**24
+# rows per block of self_moments' gate Gram, so no full gate matrix exists
+GRAM_BLOCK_ROWS = 2048
 
 
 # ------------------------------------------------------------------ moments
@@ -69,17 +79,17 @@ def _gram_mean(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (a.T @ b).astype(float) / n
 
 
-def _relu(z: np.ndarray, tau: float) -> np.ndarray:
+def _check_threshold(tau: float) -> None:
     if not tau >= 0.0:
         raise PreconditionError(f"gate threshold must be >= 0, got {tau!r}")
+
+
+def _relu(z: np.ndarray, tau: float) -> np.ndarray:
+    _check_threshold(tau)
     f = np.maximum(z, 0.0)
     if tau > 0.0:
         f *= z > tau
     return f
-
-
-def _gates(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    return _gate(x @ w, tau)
 
 
 def _acts(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
@@ -130,12 +140,21 @@ def self_moments(x: np.ndarray, w: np.ndarray,
 
     Equal bit for bit to gate_moments(x, w, w, tau)[0] and
     act_moments(x, w, w, tau)[0], without their cross pair and stderrs.
+    Only one rows x n feature matrix is alive: the gate Gram is counted
+    over row blocks, then the ReLU is applied in place.
     """
+    _check_threshold(tau)
     z = x @ w
     n = x.shape[0]
-    g = _gate(z, tau, _count_dtype(n))
-    f = _relu(z, tau)
-    return _gram_mean(g, g, n), f.T @ f / n
+    counts = np.zeros((w.shape[1], w.shape[1]), _count_dtype(n))
+    for lo in range(0, n, GRAM_BLOCK_ROWS):
+        g = _gate(z[lo:lo + GRAM_BLOCK_ROWS], tau, counts.dtype)
+        counts += g.T @ g
+    f = np.maximum(z, 0.0, out=z)
+    if tau > 0.0:
+        # for tau > 0, max(z, 0) > tau exactly where z > tau
+        f *= f > tau
+    return counts.astype(float) / n, f.T @ f / n
 
 
 def drive_stderr(d_star_err: np.ndarray, d_err: np.ndarray) -> np.ndarray:
@@ -802,13 +821,35 @@ def spare_row_gap(state: TwoLayerState) -> float:
 # --------------------------------------------------- configuration probing
 
 
-def _slope_on_geodesics(w_starts: np.ndarray, w_ends: np.ndarray,
-                        stream: GausStream, n: int, n_points: int,
-                        tau: float, feature) -> float:
+def _worst_quotient(vals: list[float], dists: list[float]) -> float:
+    worst = 0.0
+    for i, dist in enumerate(dists):
+        if vals[i] <= 0.0 or dist == 0.0:
+            continue
+        worst = max(worst, abs(vals[i + 1] - vals[i]) / (vals[i] * dist))
+    return worst
+
+
+def geodesic_slopes(w_starts: np.ndarray, w_ends: np.ndarray,
+                    stream: GausStream, n: int, n_points: int = 12,
+                    tau: float = 0.0) -> tuple[float, float]:
+    """Worst relative slopes (k_d, k_l) of the joint-firing and the
+    activation-product kernel along the great circles a run will actually
+    traverse.
+
+    For each column pair (start, end) the reference filter is the end
+    point; each kernel against points interpolated along the geodesic
+    gives difference quotients |psi(p_i+1) - psi(p_i)| /
+    (psi(p_i) |p_i+1 - p_i|).  One batch is drawn from the stream, and
+    both kernels read the same projection of it onto each path point.
+    Zero-angle columns have no path and are skipped.  A negative or NaN
+    threshold raises PreconditionError.
+    """
     if n_points < 2:
         raise PreconditionError("need at least two path points")
+    _check_threshold(tau)
     x = next_batch(stream, n)
-    worst = 0.0
+    worst_d = worst_l = 0.0
     for j in range(w_starts.shape[1]):
         a, b = w_starts[:, j], w_ends[:, j]
         angle = math.acos(float(np.clip(a @ b, -1.0, 1.0)))
@@ -820,37 +861,29 @@ def _slope_on_geodesics(w_starts: np.ndarray, w_ends: np.ndarray,
             / math.sin(angle)
             for t in ts
         ]
-        ref = feature(x, b.reshape(-1, 1), tau)[:, 0]
-        vals = [
-            float((ref * feature(x, p.reshape(-1, 1), tau)[:, 0]).mean())
-            for p in pts
-        ]
-        for i in range(n_points - 1):
-            dist = float(np.linalg.norm(pts[i + 1] - pts[i]))
-            if vals[i] <= 0.0 or dist == 0.0:
-                continue
-            worst = max(worst, abs(vals[i + 1] - vals[i]) / (vals[i] * dist))
-    return worst
+        z_ref = (x @ b.reshape(-1, 1))[:, 0]
+        ref_gate, ref_act = z_ref > tau, _relu(z_ref, tau)
+        gate_vals, act_vals = [], []
+        for p in pts:
+            z = (x @ p.reshape(-1, 1))[:, 0]
+            gate_vals.append(np.count_nonzero(ref_gate & (z > tau)) / n)
+            act_vals.append(float((ref_act * _relu(z, tau)).mean()))
+        dists = [float(np.linalg.norm(pts[i + 1] - pts[i]))
+                 for i in range(n_points - 1)]
+        worst_d = max(worst_d, _worst_quotient(gate_vals, dists))
+        worst_l = max(worst_l, _worst_quotient(act_vals, dists))
+    return worst_d, worst_l
 
 
 def gate_slope_on_geodesics(w_starts: np.ndarray, w_ends: np.ndarray,
                             stream: GausStream, n: int, n_points: int = 12,
                             tau: float = 0.0) -> float:
-    """Worst relative slope of the joint-firing kernel along the great
-    circles a run will actually traverse.
-
-    For each column pair (start, end) the reference filter is the end
-    point; the kernel against points interpolated along the geodesic
-    gives difference quotients |psi(p_i+1) - psi(p_i)| /
-    (psi(p_i) |p_i+1 - p_i|), all on one shared batch.
-    """
-    return _slope_on_geodesics(w_starts, w_ends, stream, n, n_points, tau,
-                               _gates)
+    """The joint-firing slope k_d of geodesic_slopes."""
+    return geodesic_slopes(w_starts, w_ends, stream, n, n_points, tau)[0]
 
 
 def act_slope_on_geodesics(w_starts: np.ndarray, w_ends: np.ndarray,
                            stream: GausStream, n: int, n_points: int = 12,
                            tau: float = 0.0) -> float:
-    """Same probe for the activation-product kernel."""
-    return _slope_on_geodesics(w_starts, w_ends, stream, n, n_points, tau,
-                               _acts)
+    """The activation-product slope k_l of geodesic_slopes."""
+    return geodesic_slopes(w_starts, w_ends, stream, n, n_points, tau)[1]

@@ -24,9 +24,8 @@ import numpy as np
 
 from .beta import compute_beta, psi_d, verify_identity
 from .dynamics import (
-    act_slope_on_geodesics,
     column_angles,
-    gate_slope_on_geodesics,
+    geodesic_slopes,
     mixed_two_layer_init,
     monitor_hypotheses,
     quadratic_falloff_probe,
@@ -133,15 +132,21 @@ _KIND_OVERRIDES: dict = {
     "bn_audit": {"student": {"bn_mode": "linear_relu_bn"}},
 }
 
-_SCHEMA: dict | None = None
+_VALIDATOR = None
 
 
-def _schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
+def _validator():
+    """Validator of the packaged config schema, built on first use.
+
+    The schema is static, so it is checked against its metaschema by the
+    test suite rather than on every validation.
+    """
+    global _VALIDATOR
+    if _VALIDATOR is None:
         text = resources.files("reludyn").joinpath("config_schema.json").read_text()
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+        schema = json.loads(text)
+        _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
+    return _VALIDATOR
 
 
 def config_hash(data: dict) -> str:
@@ -195,10 +200,9 @@ def make_config(data: dict) -> ExperimentConfig:
     """Validate a raw config dict against the schema and fill defaults."""
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"config rejected: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
+        raise ConfigurationError(f"config rejected: {error.message}")
     kind = data["kind"]
     merged = _merge(_DEFAULTS, _KIND_OVERRIDES.get(kind, {}))
     merged = _merge(merged, data)
@@ -406,7 +410,7 @@ def _train_unit(payload: dict) -> dict:
     tagged = [dict(payload["tags"], seed=payload["seed"], **r) for r in rows]
     return {
         "seed": payload["seed"], "tags": payload["tags"],
-        "rows": tagged, "diverged": diverged, "net": trained,
+        "rows": tagged, "diverged": diverged, "bn": bn_bias_audit(trained),
     }
 
 
@@ -449,7 +453,7 @@ def run_train(cfg: ExperimentConfig) -> RunLog:
         return log
     bias_rows, hist_rows = [], []
     for res in results:
-        for rep in bn_bias_audit(res["net"]):
+        for rep in res["bn"]:
             bias_rows.append({
                 "seed": res["seed"], "layer": rep.layer,
                 "n_negative": rep.n_negative, "n_positive": rep.n_positive,
@@ -795,15 +799,10 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     eps_l = float((l_t / l_diag[:, None])[off].max(initial=0.0))
     theta_raw = float(column_angles(state.w[:, :m], state.w_star).max())
     theta_0 = min(max(theta_raw, 1e-4), math.pi / 2 - 1e-9)
-    geo_stream = GausStream(dim=d, std=1.0, seed=_derive_seed(6, cell_index))
-    k_d = gate_slope_on_geodesics(
-        state.w[:, :m], state.w_star, geo_stream, int(grid["probe_n"]),
-        tau=grid["tau"],
-    )
-    geo_stream = GausStream(dim=d, std=1.0, seed=_derive_seed(6, cell_index))
-    k_l = act_slope_on_geodesics(
-        state.w[:, :m], state.w_star, geo_stream, int(grid["probe_n"]),
-        tau=grid["tau"],
+    k_d, k_l = geodesic_slopes(
+        state.w[:, :m], state.w_star,
+        GausStream(dim=d, std=1.0, seed=_derive_seed(6, cell_index)),
+        int(grid["probe_n"]), tau=grid["tau"],
     )
     row_norms = np.linalg.norm(state.v, axis=1)
     b_v = float(max(np.linalg.norm(state.v_star, axis=1).max(),
@@ -823,19 +822,34 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     return ledger, inputs
 
 
-def _grid_unit(payload: dict) -> dict:
+def _cell_state(payload: dict, seed: int):
+    """The cell's initial pair for one seed, built from the grid config."""
     g = payload["grid"]
-    seed, cell_index = payload["seed"], payload["cell_index"]
-    overparam, p_w, p_v = payload["overparam"], payload["p_w"], payload["p_v"]
     w_star, v_star = reduced_teacher(
         np.random.default_rng(g["teacher_seed"]), g["dim"],
         g["teacher_width"], g["outputs"],
     )
-    n = overparam * g["teacher_width"]
-    state = mixed_two_layer_init(
-        np.random.default_rng(_derive_seed(1, cell_index, seed)),
-        w_star, v_star, n, p_w, p_v, g["eta"], tau=g["tau"],
+    return mixed_two_layer_init(
+        np.random.default_rng(_derive_seed(1, payload["cell_index"], seed)),
+        w_star, v_star, payload["overparam"] * g["teacher_width"],
+        payload["p_w"], payload["p_v"], g["eta"], tau=g["tau"],
     )
+
+
+def _ledger_unit(payload: dict) -> tuple:
+    """The cell's ledger, measured on its first seed's initial pair."""
+    key = _cell_key(payload["overparam"], payload["p_w"], payload["p_v"])
+    return _measure_cell_ledger(
+        _cell_state(payload, payload["seed"]), payload["grid"],
+        payload["cell_index"], key, payload["c0_hat"],
+    )
+
+
+def _grid_unit(payload: dict) -> dict:
+    g = payload["grid"]
+    seed, cell_index = payload["seed"], payload["cell_index"]
+    overparam, p_w, p_v = payload["overparam"], payload["p_w"], payload["p_v"]
+    state = _cell_state(payload, seed)
     stream = GausStream(dim=g["dim"], std=1.0,
                         seed=_derive_seed(2, cell_index, seed))
     ledger = payload.get("ledger")
@@ -924,7 +938,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     """
     g = cfg.grid
     t0 = time.perf_counter()
-    w_star, v_star = reduced_teacher(
+    w_star, _ = reduced_teacher(
         np.random.default_rng(g["teacher_seed"]), g["dim"],
         g["teacher_width"], g["outputs"],
     )
@@ -938,17 +952,15 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
         (int(o), float(pw), float(pv))
         for o in g["overparams"] for pw, pv in g["cells"]
     ]
+    measured = _parallel_map(_ledger_unit, [
+        {"grid": g, "cell_index": ci, "seed": cfg.seeds[0], "overparam": o,
+         "p_w": p_w, "p_v": p_v, "c0_hat": c0_probe.c0_hat}
+        for ci, (o, p_w, p_v) in enumerate(cells)
+    ], cfg.workers)
     ledgers: dict = {}
     cell_info = []
-    for ci, (o, p_w, p_v) in enumerate(cells):
-        state0 = mixed_two_layer_init(
-            np.random.default_rng(_derive_seed(1, ci, cfg.seeds[0])),
-            w_star, v_star,
-            o * g["teacher_width"], p_w, p_v, g["eta"], tau=g["tau"],
-        )
+    for ci, ((o, p_w, p_v), (ledger, inputs)) in enumerate(zip(cells, measured)):
         key = _cell_key(o, p_w, p_v)
-        ledger, inputs = _measure_cell_ledger(state0, g, ci, key,
-                                              c0_probe.c0_hat)
         if cfg.mode == "guaranteed" and ledger.feasible:
             cell_mode = "guaranteed"
         else:

@@ -3,8 +3,9 @@
 Everything here is deliberately written without reusing the package's
 backward pass or constants code: finite differences through the forward
 evaluation, brute-force 2D Monte Carlo, arc-cosine kernel closed forms,
-the two-matmul mean±stderr moment formula, and a second, separately
-coded arithmetic path for the convergence-constant ledgers.
+the two-matmul mean±stderr moment formula, a per-kernel geodesic slope
+loop, and a second, separately coded arithmetic path for the
+convergence-constant ledgers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from reludyn.net import (
     forward,
     squared_loss,
 )
+from reludyn.teachers import next_batch
 
 FD_H = 1e-4
 KINK_GUARD = 1e-3
@@ -203,6 +205,52 @@ def moment_with_err(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     m = a.T @ b / n
     sq = (a * a).T @ (b * b) / n
     return m, np.sqrt(np.maximum(sq - m * m, 0.0) / n)
+
+
+# ---------------------------------------------------------------------------
+# per-kernel geodesic slope probe
+# ---------------------------------------------------------------------------
+
+def gate_feature(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
+    return (x @ w > tau).astype(np.float64)
+
+
+def act_feature(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
+    z = x @ w
+    return np.where(z > tau, z, 0.0)
+
+
+def slope_on_geodesics_reference(w_starts: np.ndarray, w_ends: np.ndarray,
+                                 stream, n: int, n_points: int, tau: float,
+                                 feature) -> float:
+    """Worst relative kernel slope along each column's geodesic, one
+    kernel at a time: one batch drawn per call, and the kernel against
+    each path point is the batch mean of the end point's feature times
+    the point's feature."""
+    x = next_batch(stream, n)
+    worst = 0.0
+    for j in range(w_starts.shape[1]):
+        a, b = w_starts[:, j], w_ends[:, j]
+        angle = math.acos(float(np.clip(a @ b, -1.0, 1.0)))
+        if angle == 0.0:
+            continue
+        ts = np.linspace(0.0, 1.0, n_points)
+        pts = [
+            (math.sin((1 - t) * angle) * a + math.sin(t * angle) * b)
+            / math.sin(angle)
+            for t in ts
+        ]
+        ref = feature(x, b.reshape(-1, 1), tau)[:, 0]
+        vals = [
+            float((ref * feature(x, p.reshape(-1, 1), tau)[:, 0]).mean())
+            for p in pts
+        ]
+        for i in range(n_points - 1):
+            dist = float(np.linalg.norm(pts[i + 1] - pts[i]))
+            if vals[i] <= 0.0 or dist == 0.0:
+                continue
+            worst = max(worst, abs(vals[i + 1] - vals[i]) / (vals[i] * dist))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from reludyn.cli import _ABLATE_KINDS, _SUBCOMMANDS, main
-from reludyn.experiments import _RUNNERS, _schema
+from reludyn.experiments import _RUNNERS, _validator
 
 TINY_TRAIN = {
     "kind": "train",
@@ -59,7 +59,7 @@ def write_config(tmp_path, data, name="cfg.json"):
 
 
 def test_schema_runners_and_subcommands_name_the_same_kinds():
-    schema_kinds = set(_schema()["properties"]["kind"]["enum"])
+    schema_kinds = set(_validator().schema["properties"]["kind"]["enum"])
     cli_kinds = {k for k in _SUBCOMMANDS.values() if k is not None}
     assert schema_kinds == set(_RUNNERS)
     assert schema_kinds == cli_kinds | set(_ABLATE_KINDS)

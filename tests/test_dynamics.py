@@ -1,15 +1,19 @@
 """Reduced gradient dynamics: steps, constant ledgers, monitors, probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    act_feature,
     arccos_kernels,
+    gate_feature,
     moment_with_err,
     single_layer_ledger_oracle,
+    slope_on_geodesics_reference,
     two_layer_ledger_oracle,
 )
 from reludyn.dynamics import (
@@ -17,13 +21,17 @@ from reludyn.dynamics import (
     SingleLayerState,
     TwoLayerState,
     EXACT_COUNT_ROWS,
+    GRAM_BLOCK_ROWS,
     _count_dtype,
-    _gates,
+    _gate,
+    _gram_mean,
     _relu,
     act_moments,
+    act_slope_on_geodesics,
     column_angles,
     gate_moments,
     gate_slope_on_geodesics,
+    geodesic_slopes,
     mixed_two_layer_init,
     monitor_hypotheses,
     quadratic_falloff_probe,
@@ -83,6 +91,35 @@ def test_self_moments_equal_public_estimators_bitwise(tau):
     assert np.array_equal(l, act_moments(x, w, w, tau)[0])
 
 
+@pytest.mark.parametrize("rows", [GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
+                                  GRAM_BLOCK_ROWS + 1, 20_000])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_self_moments_bit_equal_across_gram_blocks(tau, rows):
+    rng = np.random.default_rng(rows)
+    w = random_unit_columns(10, 12, rng)
+    x = rng.normal(size=(rows, 10))
+    d, l = self_moments(x, w, tau)
+    g, f = _gate(x @ w, tau), _relu(x @ w, tau)
+    assert np.array_equal(d, _gram_mean(g, g, rows))
+    assert np.array_equal(l, f.T @ f / rows)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_self_moments_holds_one_feature_matrix(tau):
+    rows, width = 20_000, 200
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(rows, 10))
+    w = random_unit_columns(10, width, rng)
+    tracemalloc.start()
+    try:
+        self_moments(x, w, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    feature_bytes = rows * width * 8
+    assert peak < 1.25 * feature_bytes, peak / feature_bytes
+
+
 def test_self_moments_match_arccos_closed_forms():
     n = 20_000
     w = random_unit_columns(10, 20, np.random.default_rng(23))
@@ -106,7 +143,7 @@ def test_gate_stderr_equals_two_matmul_formula(seed, n, dim, width, tau):
     x[rng.random(size=x.shape) < 0.1] = 0.0  # ties at the gate threshold
     w = rng.normal(size=(dim, width))
     w_star = rng.normal(size=(dim, width + 1))
-    g, g_star = _gates(x, w, tau), _gates(x, w_star, tau)
+    g, g_star = _gate(x @ w, tau), _gate(x @ w_star, tau)
     _, _, d_err, ds_err = gate_moments(x, w, w_star, tau)
     assert np.array_equal(d_err, moment_with_err(g, g)[1])
     assert np.array_equal(ds_err, moment_with_err(g, g_star)[1])
@@ -136,6 +173,15 @@ def test_relu_rejects_negative_or_nan_threshold_and_keeps_nan_inputs():
             _relu(z, tau)
     for tau in (0.0, 0.3):
         assert np.isnan(_relu(np.array([math.nan]), tau)).all()
+    # the slope probes read the same check, zero-angle columns or not
+    w = np.eye(3)[:, :2]
+    for ends in (w, np.eye(3)[:, 1:]):
+        for slope in (geodesic_slopes, gate_slope_on_geodesics,
+                      act_slope_on_geodesics):
+            for tau in (-0.5, math.nan):
+                with pytest.raises(PreconditionError):
+                    slope(w, ends, GausStream(dim=3, std=1.0, seed=0), 100,
+                          tau=tau)
 
 
 @settings(max_examples=40, deadline=None)
@@ -752,3 +798,29 @@ def test_gate_slope_needs_two_points():
     stream = GausStream(dim=2, std=1.0, seed=21)
     with pytest.raises(PreconditionError):
         gate_slope_on_geodesics(np.eye(2), np.eye(2), stream, 100, n_points=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 70_000),
+       dim=st.integers(2, 6), width=st.integers(1, 4),
+       n_points=st.integers(2, 13), tau=st.sampled_from([0.0, 0.3, 2.0]))
+def test_geodesic_slopes_bit_equal_to_per_kernel_reference(
+        seed, n, dim, width, n_points, tau):
+    rng = np.random.default_rng(seed)
+    ends = random_unit_columns(dim, width, rng)
+    starts = random_unit_columns(dim, width, rng)
+    same = rng.random(width) < 0.3
+    starts[:, same] = ends[:, same]  # zero-angle columns have no path
+    streams = [GausStream(dim=dim, std=1.0, seed=seed) for _ in range(5)]
+    args = (starts, ends)
+    k_d, k_l = geodesic_slopes(*args, streams[0], n, n_points, tau)
+    ref_d = slope_on_geodesics_reference(*args, streams[1], n, n_points, tau,
+                                         gate_feature)
+    ref_l = slope_on_geodesics_reference(*args, streams[2], n, n_points, tau,
+                                         act_feature)
+    assert (k_d.hex(), k_l.hex()) == (ref_d.hex(), ref_l.hex())
+    assert gate_slope_on_geodesics(*args, streams[3], n, n_points, tau) == k_d
+    assert act_slope_on_geodesics(*args, streams[4], n, n_points, tau) == k_l
+    # every probe drew exactly one batch
+    after = [next_batch(s, 3) for s in streams]
+    assert all(np.array_equal(after[0], a) for a in after[1:])

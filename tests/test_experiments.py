@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -12,7 +13,10 @@ from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
 from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
     RunLog,
+    _ledger_unit,
     _measure_cell_ledger,
+    _parallel_map,
+    _validator,
     config_hash,
     emit_reports,
     make_config,
@@ -62,6 +66,11 @@ def test_config_defaults_filled():
     assert cfg.seeds == (0,)
     assert cfg.teacher["layer_widths"] == [20, 10, 15, 20, 25]
     assert cfg.mode == "free-run"
+
+
+def test_config_schema_is_valid_under_its_metaschema():
+    schema = _validator().schema
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_config_hash_ignores_key_order():
@@ -461,6 +470,14 @@ def test_cell_ledger_rejects_silent_target_naming_the_cell():
                                  8, 10.0, 10.0, 0.05, tau=50.0)
     with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
         _measure_cell_ledger(state, grid, 0, "x2_pw10_pv10", 1.0)
+    # the same error crosses the worker pool of the grid's ledger phase
+    payloads = [
+        {"grid": grid, "cell_index": ci, "seed": 0, "overparam": 2,
+         "p_w": 10.0, "p_v": 10.0, "c0_hat": 1.0}
+        for ci in range(2)
+    ]
+    with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
+        _parallel_map(_ledger_unit, payloads, 2)
 
 
 def test_grid_reruns_are_identical():
@@ -471,9 +488,13 @@ def test_grid_reruns_are_identical():
 
 
 def test_grid_parallel_matches_serial():
-    serial = run_experiment(tiny_grid(workers=1))
-    pooled = run_experiment(tiny_grid(workers=2))
+    # two cells, so the ledger phase runs in the pool too
+    cells = {"cells": [[10.0, 10.0], [0.0, 0.0]]}
+    serial = run_experiment(tiny_grid(workers=1, grid=cells))
+    pooled = run_experiment(tiny_grid(workers=2, grid=cells))
     assert serial.rows == pooled.rows
+    assert serial.ledgers == pooled.ledgers
+    assert serial.assumptions == pooled.assumptions
 
 
 # --------------------------------------------------------------- emission
