@@ -214,8 +214,8 @@ def _project_step(w: np.ndarray, drive: np.ndarray, eta: float) -> np.ndarray:
     return moved / norms
 
 
-def step_single(state: SingleLayerState, d_star: np.ndarray, d: np.ndarray,
-                eta: float | None = None) -> SingleLayerState:
+def step_single(state: SingleLayerState, d_star: np.ndarray,
+                d: np.ndarray) -> SingleLayerState:
     """One projected Euler step of the bottom-layer flow.
 
     The channel weighting is all-ones here, so the drive columns are
@@ -224,9 +224,9 @@ def step_single(state: SingleLayerState, d_star: np.ndarray, d: np.ndarray,
     n = state.w.shape[1]
     if d.shape != (n, n) or d_star.shape != (n, n):
         raise PreconditionError("moment matrices must match the state width")
-    step = state.eta if eta is None else eta
     drive = state.w_star @ d_star.T - state.w @ d.T
-    return replace(state, w=_project_step(state.w, drive, step), t=state.t + 1)
+    return replace(state, w=_project_step(state.w, drive, state.eta),
+                   t=state.t + 1)
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,6 @@ class SingleRunRecord:
     sin_theta: np.ndarray      # (steps+1, n)
     factors: np.ndarray        # (steps,) per-step ratio of max sin theta
     factor_noise: np.ndarray   # (steps,) conservative stderr of that ratio
-    drive_norms: np.ndarray    # (steps,) max projected update magnitude
 
 
 def run_single(state: SingleLayerState, stream: GausStream, n_steps: int,
@@ -296,12 +295,11 @@ def run_single(state: SingleLayerState, stream: GausStream, n_steps: int,
                 "guaranteed mode needs a feasible constant ledger"
             )
     sins = [np.sin(state.thetas)]
-    factors, noises, drives = [], [], []
+    factors, noises = [], []
     for _ in range(n_steps):
         x = next_batch(stream, n_mc)
         d, ds, d_err, ds_err = gate_moments(x, state.w, state.w_star, state.tau)
         before = float(np.max(np.sin(state.thetas)))
-        prev_w = state.w
         state = step_single(state, ds, d)
         sins.append(np.sin(state.thetas))
         after = float(np.max(sins[-1]))
@@ -309,12 +307,10 @@ def run_single(state: SingleLayerState, stream: GausStream, n_steps: int,
         denom = max(before, 1e-300)
         factors.append(after / denom)
         noises.append(state.eta * col_noise / denom)
-        drives.append(float(np.linalg.norm(state.w - prev_w, axis=0).max()))
     return state, SingleRunRecord(
         sin_theta=np.array(sins),
         factors=np.array(factors),
         factor_noise=np.array(noises),
-        drive_norms=np.array(drives),
     )
 
 
@@ -376,30 +372,26 @@ class TwoLayerState:
 
 
 def two_layer_moments(state: TwoLayerState, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Gate and activation moments of the current pair on one batch."""
-    d, ds, d_err, ds_err = gate_moments(x, state.w, state.w_star, state.tau)
-    l, ls, l_err, ls_err = act_moments(x, state.w, state.w_star, state.tau)
-    return {
-        "d": d, "d_star": ds, "d_err": d_err, "d_star_err": ds_err,
-        "l": l, "l_star": ls, "l_err": l_err, "l_star_err": ls_err,
-    }
+    """Gate and activation moment means of the current pair on one batch."""
+    d, ds = gate_moments(x, state.w, state.w_star, state.tau)[:2]
+    l, ls = act_moments(x, state.w, state.w_star, state.tau)[:2]
+    return {"d": d, "d_star": ds, "l": l, "l_star": ls}
 
 
-def step_two_layer(state: TwoLayerState, moments: dict[str, np.ndarray],
-                   eta: float | None = None) -> TwoLayerState:
+def step_two_layer(state: TwoLayerState,
+                   moments: dict[str, np.ndarray]) -> TwoLayerState:
     """One Euler step of both layers.
 
     Filter drives weight the gate moments by top-row inner products
     (h_jj' = d_jj' v_j . v_j'); filters are projected and renormalized,
     top rows are not.
     """
-    step = state.eta if eta is None else eta
     h = moments["d"] * (state.v @ state.v.T)
     h_star = moments["d_star"] * (state.v @ state.v_star.T)
     drive_w = state.w_star @ h_star.T - state.w @ h.T
-    new_w = _project_step(state.w, drive_w, step)
+    new_w = _project_step(state.w, drive_w, state.eta)
     drive_v = moments["l_star"] @ state.v_star - moments["l"] @ state.v
-    new_v = state.v + step * drive_v
+    new_v = state.v + state.eta * drive_v
     if not np.all(np.isfinite(new_v)):
         raise NumericError("top-layer update diverged; reduce the step size")
     return replace(state, w=new_w, v=new_v, t=state.t + 1)

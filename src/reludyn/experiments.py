@@ -13,9 +13,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -306,7 +307,10 @@ def _aggregate(rows: list[dict], by: tuple[str, ...], stats: str) -> list[dict]:
 
 
 def _parallel_map(fn, payloads: list, workers: int) -> list:
-    if workers <= 1 or len(payloads) <= 1:
+    """fn over payloads, in order, on at most one process per payload and
+    per CPU: the pool starts all its processes at once."""
+    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
@@ -317,29 +321,32 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-# ------------------------------------------------------- training runner
+# ------------------------------------------------------ training runners
 
 
-def _run_training(teacher: Network, student: Network, *, eta: float,
-                  epochs: int, batches_per_epoch: int, batch_size: int,
-                  stream_cfg: dict, stream_seed: int, val_seed: int):
+def _run_training(teacher: Network, student: Network, cfg: ExperimentConfig,
+                  unit: dict, epochs: int, stream_seed: int):
     """SGD on teacher soft targets; per-epoch metric rows.
 
-    Epoch 0 is the untouched initialization.  A loss above the divergence
-    cutoff (or a numeric failure inside an epoch) marks the run diverged
-    and stops it; rows up to and including that epoch are kept.
+    The unit's stream section feeds the training batches; its seed fixes
+    the validation batch.  Epoch 0 is the untouched initialization.  A
+    loss above the divergence cutoff (or a numeric failure inside an
+    epoch) marks the run diverged and stops it; rows up to and including
+    that epoch are kept.
     """
     dim = teacher.spec.layer_widths[0]
+    stream_cfg = unit["stream"]
     train_stream = GausStream(
         dim=dim, std=stream_cfg["std"], mode=stream_cfg["mode"],
         n_samples=stream_cfg["n_samples"], seed=stream_seed,
     )
     val_x = next_batch(
         GausStream(dim=dim, std=stream_cfg["std"], mode="infinite",
-                   seed=val_seed),
+                   seed=unit["seed"] + VAL_STREAM_OFF),
         VAL_BATCH,
     )
     val_t = forward(teacher, val_x)
+    eta, batch_size, n_batches = cfg.eta, cfg.batch_size, cfg.batches_per_epoch
     n_hidden = student.n_layers - 1
     checkpoints: list[list] = [[] for _ in range(n_hidden)]
     rows: list[dict] = []
@@ -350,7 +357,7 @@ def _run_training(teacher: Network, student: Network, *, eta: float,
         if epoch > 0:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(batches_per_epoch):
+                    for _ in range(n_batches):
                         x = next_batch(train_stream, batch_size)
                         tr = forward(student, x)
                         grads = backward(
@@ -389,138 +396,110 @@ def _run_training(teacher: Network, student: Network, *, eta: float,
     return rows, student, finals, diverged
 
 
-def _train_unit(payload: dict) -> dict:
-    teacher = make_teacher(TeacherSpec(**payload["teacher"]))
-    s = payload["student"]
-    student = make_student(
+def _training_units(cfg: ExperimentConfig) -> list[dict]:
+    """One unit per (ablation level, seed), level outer: its seed, its row
+    tags and the teacher, student and stream sections it trains with.
+
+    train, bn_audit and lottery have one level with no tags.
+    """
+    levels: list[tuple[dict, dict]] = [({}, {})]
+    if cfg.kind == "ablate_size":
+        levels = [
+            ({"arch": "-".join(str(w) for w in widths), "bn_mode": bn},
+             {"teacher": dict(cfg.teacher, layer_widths=list(widths)),
+              "student": dict(cfg.student, bn_mode=bn)})
+            for widths in cfg.ablate["archs"] for bn in cfg.ablate["bn_modes"]
+        ]
+    elif cfg.kind == "ablate_overparam":
+        levels = [
+            ({"factor": int(f)},
+             {"student": dict(cfg.student, overparam_factor=int(f))})
+            for f in cfg.ablate["factors"]
+        ]
+    elif cfg.kind == "ablate_finite":
+        levels = [
+            ({"samples": int(size)},
+             {"stream": dict(cfg.stream, mode="finite" if size else "infinite",
+                             n_samples=int(size))})
+            for size in list(cfg.ablate["finite_sizes"]) + [0]
+        ]
+    units = []
+    for tags, sections in levels:
+        for seed in cfg.seeds:
+            unit = {"seed": seed, "tags": tags, "teacher": cfg.teacher,
+                    "student": cfg.student, "stream": cfg.stream, **sections}
+            if cfg.kind == "ablate_overparam":
+                # a fresh teacher per seed: the band statistics are over
+                # (teacher, init) draws, not one fixed teacher
+                unit["teacher"] = dict(cfg.teacher,
+                                       seed=cfg.teacher["seed"] + seed)
+            units.append(unit)
+    return units
+
+
+def _student(teacher: Network, unit: dict, seed: int) -> Network:
+    """The unit's student around the teacher, initialized from seed."""
+    s = unit["student"]
+    return make_student(
         teacher,
-        StudentInit(
-            overparam_factor=s["overparam_factor"],
-            p_w=s["p_w"], p_v=s["p_v"], seed=payload["init_seed"],
-        ),
+        StudentInit(overparam_factor=s["overparam_factor"],
+                    p_w=s["p_w"], p_v=s["p_v"], seed=seed),
         bn_mode=s["bn_mode"],
     )
+
+
+def _train_unit(payload: tuple) -> dict:
+    cfg, unit = payload
+    seed = unit["seed"]
+    teacher = make_teacher(TeacherSpec(**unit["teacher"]))
     rows, trained, _, diverged = _run_training(
-        teacher, student,
-        eta=payload["eta"], epochs=payload["epochs"],
-        batches_per_epoch=payload["batches_per_epoch"],
-        batch_size=payload["batch_size"], stream_cfg=payload["stream"],
-        stream_seed=payload["stream_seed"], val_seed=payload["val_seed"],
+        teacher, _student(teacher, unit, seed), cfg, unit,
+        cfg.epochs, seed + TRAIN_STREAM_OFF,
     )
-    tagged = [dict(payload["tags"], seed=payload["seed"], **r) for r in rows]
     return {
-        "seed": payload["seed"], "tags": payload["tags"],
-        "rows": tagged, "diverged": diverged, "bn": bn_bias_audit(trained),
+        "rows": [dict(unit["tags"], seed=seed, **r) for r in rows],
+        "diverged": diverged,
+        "bn": bn_bias_audit(trained) if cfg.kind == "bn_audit" else [],
     }
 
 
-def _train_payload(cfg: ExperimentConfig, seed: int, *, teacher=None,
-                   student=None, stream=None, tags=None) -> dict:
-    return {
-        "seed": seed,
-        "teacher": teacher if teacher is not None else cfg.teacher,
-        "student": student if student is not None else cfg.student,
-        "stream": stream if stream is not None else cfg.stream,
-        "tags": tags or {},
-        "eta": cfg.eta,
-        "epochs": cfg.epochs,
-        "batches_per_epoch": cfg.batches_per_epoch,
-        "batch_size": cfg.batch_size,
-        "init_seed": seed,
-        "stream_seed": seed + TRAIN_STREAM_OFF,
-        "val_seed": seed + VAL_STREAM_OFF,
-    }
+def run_training(cfg: ExperimentConfig) -> RunLog:
+    """Train one student per unit; per-epoch metrics and their aggregate.
 
-
-def run_train(cfg: ExperimentConfig) -> RunLog:
-    """Train one student per seed; emit per-epoch metrics and min/max.
-
-    A bn_audit run also reports the sign split of each trained student's
-    BN shifts.
+    The aggregate groups rows by the ablation tags and epoch: mean and
+    std over seeds for ablate_overparam's bands, min and max otherwise.
+    Ablation assumptions name each unit's tags.  A bn_audit run also
+    reports the sign split of each trained student's BN shifts.
     """
-    payloads = [_train_payload(cfg, seed) for seed in cfg.seeds]
-    results = _parallel_map(_train_unit, payloads, cfg.workers)
+    units = _training_units(cfg)
+    results = _parallel_map(_train_unit, [(cfg, u) for u in units],
+                            cfg.workers)
     rows = [r for res in results for r in res["rows"]]
-    assumptions = [
-        {"seed": res["seed"], "diverged": bool(res["diverged"])}
-        for res in results
-    ]
-    log = RunLog(
-        rows=rows, aggregates=_aggregate(rows, ("epoch",), "minmax"),
-        assumptions=assumptions,
-    )
-    if cfg.kind != "bn_audit":
-        return log
+    by = (*units[0]["tags"], "epoch")
+    stats = "meanstd" if cfg.kind == "ablate_overparam" else "minmax"
+    log = RunLog(rows=rows, aggregates=_aggregate(rows, by, stats))
     bias_rows, hist_rows = [], []
-    for res in results:
+    for unit, res in zip(units, results):
+        seed = unit["seed"]
+        entry = {"seed": seed, "diverged": res["diverged"]}
+        if cfg.kind.startswith("ablate_"):
+            entry["tags"] = unit["tags"]
+        log.assumptions.append(entry)
         for rep in res["bn"]:
             bias_rows.append({
-                "seed": res["seed"], "layer": rep.layer,
+                "seed": seed, "layer": rep.layer,
                 "n_negative": rep.n_negative, "n_positive": rep.n_positive,
             })
             for b in range(len(rep.counts)):
                 hist_rows.append({
-                    "seed": res["seed"], "layer": rep.layer, "bin": b,
+                    "seed": seed, "layer": rep.layer, "bin": b,
                     "lo": float(rep.bin_edges[b]),
                     "hi": float(rep.bin_edges[b + 1]),
                     "count": int(rep.counts[b]),
                 })
-    log.tables = {"bn_bias": bias_rows, "bn_bias_hist": hist_rows}
+    if cfg.kind == "bn_audit":
+        log.tables = {"bn_bias": bias_rows, "bn_bias_hist": hist_rows}
     return log
-
-
-def run_ablations(cfg: ExperimentConfig) -> RunLog:
-    """Size, over-parameterization, and finite-data ablations."""
-    payloads = []
-    if cfg.kind == "ablate_size":
-        for widths in cfg.ablate["archs"]:
-            arch = "-".join(str(w) for w in widths)
-            for bn in cfg.ablate["bn_modes"]:
-                for seed in cfg.seeds:
-                    payloads.append(_train_payload(
-                        cfg, seed,
-                        teacher=dict(cfg.teacher, layer_widths=list(widths)),
-                        student=dict(cfg.student, bn_mode=bn),
-                        tags={"arch": arch, "bn_mode": bn},
-                    ))
-        by, stats = ("arch", "bn_mode", "epoch"), "minmax"
-    elif cfg.kind == "ablate_overparam":
-        for factor in cfg.ablate["factors"]:
-            for seed in cfg.seeds:
-                # a fresh teacher per seed: the band statistics are over
-                # (teacher, init) draws, not one fixed teacher
-                payloads.append(_train_payload(
-                    cfg, seed,
-                    teacher=dict(cfg.teacher, seed=cfg.teacher["seed"] + seed),
-                    student=dict(cfg.student, overparam_factor=int(factor)),
-                    tags={"factor": int(factor)},
-                ))
-        by, stats = ("factor", "epoch"), "meanstd"
-    elif cfg.kind == "ablate_finite":
-        for size in list(cfg.ablate["finite_sizes"]) + [0]:
-            stream = dict(
-                cfg.stream,
-                mode="finite" if size else "infinite",
-                n_samples=int(size),
-            )
-            for seed in cfg.seeds:
-                payloads.append(_train_payload(
-                    cfg, seed, stream=stream, tags={"samples": int(size)},
-                ))
-        by, stats = ("samples", "epoch"), "minmax"
-    else:
-        raise ConfigurationError(f"not an ablation kind: {cfg.kind}")
-    results = _parallel_map(_train_unit, payloads, cfg.workers)
-    rows = [r for res in results for r in res["rows"]]
-    assumptions = [
-        {"seed": res["seed"], "tags": res["tags"],
-         "diverged": bool(res["diverged"])}
-        for res in results
-    ]
-    return RunLog(
-        rows=rows, aggregates=_aggregate(rows, by, stats),
-        assumptions=assumptions,
-    )
 
 
 # --------------------------------------------------------------- lottery
@@ -567,24 +546,13 @@ def _prune_to(net: Network, keep: list[list[int]]) -> Network:
     return build_network(net.spec, weights, biases)
 
 
-def _lottery_unit(payload: dict) -> dict:
-    seed = payload["seed"]
-    teacher = make_teacher(TeacherSpec(**payload["teacher"]))
-    s = payload["student"]
-    student0 = make_student(
-        teacher,
-        StudentInit(overparam_factor=s["overparam_factor"],
-                    p_w=s["p_w"], p_v=s["p_v"], seed=payload["init_seed"]),
-        bn_mode="none",
-    )
-    common = dict(
-        eta=payload["eta"], batches_per_epoch=payload["batches_per_epoch"],
-        batch_size=payload["batch_size"], stream_cfg=payload["stream"],
-        val_seed=payload["val_seed"],
-    )
+def _lottery_unit(payload: tuple) -> dict:
+    cfg, unit = payload
+    seed = unit["seed"]
+    teacher = make_teacher(TeacherSpec(**unit["teacher"]))
+    student0 = _student(teacher, unit, seed)
     base_rows, _, finals, _ = _run_training(
-        teacher, student0, epochs=payload["epochs"],
-        stream_seed=payload["stream_seed"], **common,
+        teacher, student0, cfg, unit, cfg.epochs, seed + TRAIN_STREAM_OFF,
     )
     keep, contested = [], []
     for cm in finals:
@@ -592,23 +560,18 @@ def _lottery_unit(payload: dict) -> dict:
         keep.append(sorted(win.values()))
         best = [int(np.argmax(cm.rho[:, j])) for j in range(cm.rho.shape[1])]
         contested.append(len(best) - len(set(best)))
-    fresh = make_student(
-        teacher,
-        StudentInit(overparam_factor=s["overparam_factor"],
-                    p_w=s["p_w"], p_v=s["p_v"], seed=seed + REINIT_OFF),
-        bn_mode="none",
-    )
     arms = (
         ("winners_reset", _prune_to(student0, keep)),
-        ("winners_reinit", _prune_to(fresh, keep)),
+        ("winners_reinit",
+         _prune_to(_student(teacher, unit, seed + REINIT_OFF), keep)),
         ("baseline", student0),
     )
+    retrain = int(cfg.lottery["retrain_epochs"] or cfg.epochs)
     rows = [dict(seed=seed, arm="base", **r) for r in base_rows]
     summaries = []
     for arm, net0 in arms:
         a_rows, _, _, a_div = _run_training(
-            teacher, net0, epochs=payload["retrain_epochs"],
-            stream_seed=seed + RETRAIN_STREAM_OFF, **common,
+            teacher, net0, cfg, unit, retrain, seed + RETRAIN_STREAM_OFF,
         )
         rows.extend(dict(seed=seed, arm=arm, **r) for r in a_rows)
         summary = {
@@ -620,7 +583,7 @@ def _lottery_unit(payload: dict) -> dict:
             summary[f"n_winners_l{h}"] = len(keep[h])
             summary[f"n_contested_l{h}"] = contested[h]
         summaries.append(summary)
-    return {"seed": seed, "rows": rows, "arms": summaries}
+    return {"rows": rows, "arms": summaries}
 
 
 def run_lottery(cfg: ExperimentConfig) -> RunLog:
@@ -630,12 +593,7 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     final correlation after a base training run; the same retrain stream
     feeds all three arms so the comparison is paired.
     """
-    retrain = cfg.lottery["retrain_epochs"] or cfg.epochs
-    payloads = []
-    for seed in cfg.seeds:
-        p = _train_payload(cfg, seed)
-        p["retrain_epochs"] = int(retrain)
-        payloads.append(p)
+    payloads = [(cfg, u) for u in _training_units(cfg)]
     results = _parallel_map(_lottery_unit, payloads, cfg.workers)
     rows = [r for res in results for r in res["rows"]]
     arms = [a for res in results for a in res["arms"]]
@@ -703,31 +661,29 @@ def run_verify_identity(cfg: ExperimentConfig) -> RunLog:
 
 
 def run_psi_check(cfg: ExperimentConfig) -> RunLog:
-    """Joint-firing moment vs the closed form (pi - angle) / 2 pi."""
+    """Joint-firing moment vs the closed form (pi - angle) / 2 pi.
+
+    Each seed also checks trial -1, the self-overlap at angle 0 (closed
+    form 1/2), on a stream of its own.
+    """
     n = int(cfg.psi["n"])
+    w1 = np.array([1.0, 0.0])
     rows = []
     for seed in cfg.seeds:
-        for i, angle in enumerate(cfg.psi["angles"]):
-            stream = GausStream(dim=2, std=1.0,
-                                seed=_derive_seed(50, seed, i))
-            w1 = np.array([1.0, 0.0])
+        trials = [(i, angle, _derive_seed(50, seed, i))
+                  for i, angle in enumerate(cfg.psi["angles"])]
+        trials.append((-1, 0.0, _derive_seed(51, seed)))
+        for trial, angle, stream_seed in trials:
+            stream = GausStream(dim=2, std=1.0, seed=stream_seed)
             w2 = np.array([math.cos(angle), math.sin(angle)])
             val, err = psi_d(w1, w2, stream, n)
             ref = (math.pi - angle) / (2.0 * math.pi)
             rows.append({
-                "seed": seed, "trial": i, "angle": float(angle),
+                "seed": seed, "trial": trial, "angle": float(angle),
                 "psi_d": float(val), "stderr": float(err),
                 "closed_form": ref,
                 "ok": int(abs(val - ref) <= 4.0 * err + 1e-12),
             })
-        stream = GausStream(dim=2, std=1.0, seed=_derive_seed(51, seed))
-        w1 = np.array([1.0, 0.0])
-        val, err = psi_d(w1, w1, stream, n)
-        rows.append({
-            "seed": seed, "trial": -1, "angle": 0.0,
-            "psi_d": float(val), "stderr": float(err), "closed_form": 0.5,
-            "ok": int(abs(val - 0.5) <= 4.0 * err + 1e-12),
-        })
     failed = any(not r["ok"] for r in rows)
     return RunLog(rows=rows, failed=failed)
 
@@ -812,13 +768,9 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
         k_d, k_l, theta_0, eps_d, eps_l, b_v, b_dv, m, n, c0_hat,
         grid["eta"], float(d_diag.min()), float(l_diag.min()),
     )
-    inputs = {
-        "k_d": k_d, "k_l": k_l, "theta_0": theta_0, "theta_raw": theta_raw,
-        "eps_d": eps_d, "eps_l": eps_l, "b_v": b_v, "b_dv": b_dv,
-        "m": m, "n": n, "c0_hat": c0_hat, "eta": grid["eta"],
-        "d_diag_min": float(d_diag.min()),
-        "l_diag_min": float(l_diag.min()),
-    }
+    # ConstantLedger's 13 leading fields are its inputs
+    inputs = {f.name: getattr(ledger, f.name) for f in fields(ledger)[:13]}
+    inputs["theta_raw"] = theta_raw
     return ledger, inputs
 
 
@@ -846,15 +798,16 @@ def _ledger_unit(payload: dict) -> tuple:
 
 
 def _grid_unit(payload: dict) -> dict:
+    """One (cell, seed) trajectory.  The cell's first seed also records
+    per-filter detail and, in a guaranteed cell, the monitor rows."""
     g = payload["grid"]
     seed, cell_index = payload["seed"], payload["cell_index"]
-    overparam, p_w, p_v = payload["overparam"], payload["p_w"], payload["p_v"]
     state = _cell_state(payload, seed)
     stream = GausStream(dim=g["dim"], std=1.0,
                         seed=_derive_seed(2, cell_index, seed))
-    ledger = payload.get("ledger")
+    ledger, detailed = payload["ledger"], payload["detail"]
     monitor_x = None
-    if ledger is not None and ledger.feasible:
+    if detailed and payload["cell_mode"] == "guaranteed":
         monitor_x = next_batch(
             GausStream(dim=g["dim"], std=1.0,
                        seed=_derive_seed(3, cell_index, seed)),
@@ -862,12 +815,14 @@ def _grid_unit(payload: dict) -> dict:
         )
     m = state.u_count
     tags = {
-        "overparam": overparam, "p_w": p_w, "p_v": p_v,
+        "overparam": payload["overparam"], "p_w": payload["p_w"],
+        "p_v": payload["p_v"],
         "guaranteed": int(payload["cell_mode"] == "guaranteed"),
     }
     rows, monitors, detail = [], [], []
 
     def record(it: int, diverged: int) -> None:
+        thetas = state.thetas
         norms = np.linalg.norm(state.v, axis=1)
         u, r = norms[:m], norms[m:]
         row = dict(tags, seed=seed, iteration=it, diverged=diverged)
@@ -877,22 +832,16 @@ def _grid_unit(payload: dict) -> dict:
         row["r_max"] = float(r.max()) if r.size else 0.0
         row["r_mean"] = float(r.mean()) if r.size else 0.0
         row["gap"] = float(spare_row_gap(state))
-        row["sin_max"] = float(np.sin(state.thetas[:m]).max())
+        row["sin_max"] = float(np.sin(thetas[:m]).max())
         rows.append(row)
-
-    def record_detail(it: int) -> None:
-        entry = {"t": it}
-        sines = np.sin(state.thetas)
-        for j in range(state.n_filters):
-            entry[f"sin_{j}"] = float(sines[j])
-        norms = np.linalg.norm(state.v, axis=1)
-        for j in range(state.n_filters):
-            entry[f"v_{j}"] = float(norms[j])
-        detail.append(entry)
+        if detailed and not diverged:
+            entry = {"t": it}
+            entry.update((f"sin_{j}", float(v))
+                         for j, v in enumerate(np.sin(thetas)))
+            entry.update((f"v_{j}", float(v)) for j, v in enumerate(norms))
+            detail.append(entry)
 
     record(0, 0)
-    if payload["detail"]:
-        record_detail(0)
     for it in range(1, g["iterations"] + 1):
         x = next_batch(stream, g["n_mc"])
         try:
@@ -902,28 +851,20 @@ def _grid_unit(payload: dict) -> dict:
             break
         if it % g["record_every"] == 0 or it == g["iterations"]:
             record(it, 0)
-            if payload["detail"]:
-                record_detail(it)
         if monitor_x is not None and it % g["monitor_every"] == 0:
             entry = monitor_hypotheses(state, ledger, it + 1, monitor_x)
             mrow = dict(tags, seed=seed, t=entry.t)
             for key in ("w_separation_ok", "wu_contraction_ok",
                         "v_contraction_ok", "wr_bound_ok"):
                 mrow[key] = int(getattr(entry, key))
-            for key in ("slack_w_separation", "slack_wu", "slack_v",
-                        "slack_wr"):
-                mrow[key] = float(getattr(entry, key))
+            slacks = {key: float(getattr(entry, key)) for key in (
+                "slack_w_separation", "slack_wu", "slack_v", "slack_wr")}
+            mrow.update(slacks)
             monitors.append(mrow)
-            if payload["detail"] and detail and detail[-1]["t"] == it:
-                for key in ("slack_w_separation", "slack_wu", "slack_v",
-                            "slack_wr"):
-                    detail[-1][key] = float(getattr(entry, key))
-                detail[-1]["gamma"] = ledger.gamma
-                detail[-1]["rate_w"] = ledger.rate_w
-    return {
-        "cell_index": cell_index, "seed": seed, "rows": rows,
-        "monitors": monitors, "detail": detail,
-    }
+            if detail[-1]["t"] == it:
+                detail[-1].update(slacks, gamma=ledger.gamma,
+                                  rate_w=ledger.rate_w)
+    return {"rows": rows, "monitors": monitors, "detail": detail}
 
 
 def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
@@ -949,64 +890,53 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     )
     t1 = time.perf_counter()
     cells = [
-        (int(o), float(pw), float(pv))
-        for o in g["overparams"] for pw, pv in g["cells"]
+        {"key": _cell_key(o, p_w, p_v), "cell_index": ci,
+         "overparam": o, "p_w": p_w, "p_v": p_v}
+        for ci, (o, p_w, p_v) in enumerate(
+            (int(o), float(pw), float(pv))
+            for o in g["overparams"] for pw, pv in g["cells"]
+        )
     ]
     measured = _parallel_map(_ledger_unit, [
-        {"grid": g, "cell_index": ci, "seed": cfg.seeds[0], "overparam": o,
-         "p_w": p_w, "p_v": p_v, "c0_hat": c0_probe.c0_hat}
-        for ci, (o, p_w, p_v) in enumerate(cells)
+        dict(cell, grid=g, seed=cfg.seeds[0], c0_hat=c0_probe.c0_hat)
+        for cell in cells
     ], cfg.workers)
     ledgers: dict = {}
-    cell_info = []
-    for ci, ((o, p_w, p_v), (ledger, inputs)) in enumerate(zip(cells, measured)):
-        key = _cell_key(o, p_w, p_v)
-        if cfg.mode == "guaranteed" and ledger.feasible:
-            cell_mode = "guaranteed"
-        else:
-            cell_mode = "free-run"
-        ledgers[key] = {
+    for cell, (ledger, inputs) in zip(cells, measured):
+        guaranteed = cfg.mode == "guaranteed" and ledger.feasible
+        cell["cell_mode"] = "guaranteed" if guaranteed else "free-run"
+        cell["ledger"] = ledger
+        ledgers[cell["key"]] = {
             "inputs": inputs,
             "ledger": asdict(ledger),
-            "cell_mode": cell_mode,
+            "cell_mode": cell["cell_mode"],
         }
-        cell_info.append((ci, o, p_w, p_v, ledger, cell_mode))
     t2 = time.perf_counter()
-    payloads = []
-    for ci, o, p_w, p_v, ledger, cell_mode in cell_info:
-        for seed in cfg.seeds:
-            first = seed == cfg.seeds[0]
-            payloads.append({
-                "grid": g, "cell_index": ci, "seed": seed,
-                "overparam": o, "p_w": p_w, "p_v": p_v,
-                "cell_mode": cell_mode,
-                "ledger": ledger if (first and cell_mode == "guaranteed") else None,
-                "detail": first,
-            })
+    payloads = [
+        dict(cell, grid=g, seed=seed, detail=seed == cfg.seeds[0])
+        for cell in cells for seed in cfg.seeds
+    ]
     results = _parallel_map(_grid_unit, payloads, cfg.workers)
     t3 = time.perf_counter()
     rows = [r for res in results for r in res["rows"]]
     monitors = [mrow for res in results for mrow in res["monitors"]]
     tables = {"monitors": monitors} if monitors else {}
-    for res in results:
-        if res["detail"]:
-            ci = res["cell_index"]
-            o, p_w, p_v = cells[ci]
-            tables[f"detail_{_cell_key(o, p_w, p_v)}"] = res["detail"]
+    cell_monitors: dict[str, list] = {}
+    for payload, res in zip(payloads, results):
+        cell_monitors.setdefault(payload["key"], []).extend(res["monitors"])
+        if payload["detail"]:
+            tables[f"detail_{payload['key']}"] = res["detail"]
     assumptions = []
     for key, entry in ledgers.items():
-        cell_monitors = [
-            mrow for mrow in monitors
-            if _cell_key(mrow["overparam"], mrow["p_w"], mrow["p_v"]) == key
-        ]
+        checked = cell_monitors[key]
         assumptions.append({
             "cell": key,
             "cell_mode": entry["cell_mode"],
             "feasible": entry["ledger"]["feasible"],
             "binding": entry["ledger"]["binding"],
-            "checked": len(cell_monitors),
+            "checked": len(checked),
             "violations": sum(
-                1 for mrow in cell_monitors
+                1 for mrow in checked
                 if not (mrow["w_separation_ok"] and mrow["wu_contraction_ok"]
                         and mrow["v_contraction_ok"] and mrow["wr_bound_ok"])
             ),
@@ -1023,13 +953,13 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
 
 _RUNNERS = {
     "verify_identity": run_verify_identity,
-    "train": run_train,
+    "train": run_training,
     "overparam_grid": run_overparam_grid,
-    "ablate_size": run_ablations,
-    "ablate_overparam": run_ablations,
-    "ablate_finite": run_ablations,
+    "ablate_size": run_training,
+    "ablate_overparam": run_training,
+    "ablate_finite": run_training,
     "lottery": run_lottery,
-    "bn_audit": run_train,
+    "bn_audit": run_training,
     "psi_check": run_psi_check,
     "falloff_probe": run_falloff,
 }

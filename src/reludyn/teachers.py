@@ -121,36 +121,33 @@ def make_student(
         + tuple(k * w for w in t_widths[1:-1])
         + (t_widths[-1],)
     )
-    spec = NetworkSpec(layer_widths=widths, bn_mode=bn_mode)
     weights = []
     for li in range(n_layers - 1):
         fan_in, width = widths[li], widths[li + 1]
         m_prev, m = t_widths[li], t_widths[li + 1]
-        eps = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, width))
-        eps = eps / np.linalg.norm(eps, axis=0)
-        w = eps.copy()
+        w = _noise_matrix(rng, fan_in, width)
         if init.p_w > 0:
             padded = np.zeros((fan_in, m))
             padded[:m_prev, :] = teacher.weights[li]
-            w[:, :m] = init.p_w * padded + eps[:, :m]
+            w[:, :m] = init.p_w * padded + w[:, :m]
         w = w / np.linalg.norm(w, axis=0)
         weights.append(w)
     # top layer: rows are per-hidden-node fan-outs, mixed but not normalized
     fan_in, c = widths[-2], widths[-1]
     m_prev = t_widths[-2]
-    v_eps = _noise_matrix(rng, fan_in, c)
-    v = v_eps.copy()
+    v = _noise_matrix(rng, fan_in, c)
     if init.p_v > 0:
-        v[:m_prev, :] = init.p_v * teacher.weights[-1] + v_eps[:m_prev, :]
+        v[:m_prev, :] = init.p_v * teacher.weights[-1] + v[:m_prev, :]
     weights.append(v)
-    biases = [
-        np.zeros(widths[li + 1]) if spec.has_bias[li] and teacher.biases[li] is not None else None
+    # a student keeps a trainable bias only where the teacher has one,
+    # and under BN only on the top layer
+    flags = tuple(
+        teacher.biases[li] is not None
+        and (bn_mode == "none" or li == n_layers - 1)
         for li in range(n_layers)
-    ]
-    # a student keeps a trainable bias only where the teacher has one
-    flags = tuple(b is not None for b in biases)
+    )
     spec = NetworkSpec(layer_widths=widths, bn_mode=bn_mode, has_bias=flags)
-    return build_network(spec, weights, [b for b in biases])
+    return build_network(spec, weights)
 
 
 @dataclass

@@ -171,11 +171,91 @@ def test_train_reruns_are_identical(tmp_path):
     assert agg_a == agg_b
 
 
-def test_train_parallel_matches_serial():
-    serial = run_experiment(tiny_train(workers=1))
-    pooled = run_experiment(tiny_train(workers=2))
-    assert serial.rows == pooled.rows
-    assert serial.aggregates == pooled.aggregates
+def pooled_config(kind: str, workers: int):
+    """A two-seed config of each kind whose units go through the pool."""
+    if kind == "overparam_grid":
+        # a feasible single-filter cell, so monitors and slacks run too
+        return tiny_grid(workers=workers, mode="guaranteed", grid={
+            "dim": 10, "teacher_width": 1, "overparams": [1, 2],
+            "iterations": 6, "record_every": 2, "monitor_every": 1,
+            "tau": 0.3, "probe_n": 2000,
+        })
+    data = {
+        "kind": kind, "seeds": [0, 1], "epochs": 1, "batches_per_epoch": 3,
+        "batch_size": 16, "eta": 0.005, "workers": workers,
+        "teacher": {"layer_widths": [4, 3, 2], "seed": 3},
+        "student": {"overparam_factor": 2}, "stream": {"std": 1.0},
+    }
+    data.update({
+        "ablate_size": {"ablate": {"archs": [[4, 3, 2], [4, 5, 2]],
+                                   "bn_modes": ["none", "linear_relu_bn"]}},
+        "ablate_overparam": {"ablate": {"factors": [1, 2]}},
+        "ablate_finite": {"ablate": {"finite_sizes": [32]}},
+        "lottery": {"lottery": {"retrain_epochs": 1}},
+    }.get(kind, {}))
+    return make_config(data)
+
+
+@pytest.mark.parametrize("kind", [
+    "train", "bn_audit", "ablate_size", "ablate_overparam", "ablate_finite",
+    "lottery", "overparam_grid",
+])
+def test_parallel_matches_serial(kind):
+    logs = []
+    for workers in (1, 2):
+        log = run_experiment(pooled_config(kind, workers))
+        config = {k: v for k, v in log.config.items() if k != "workers"}
+        logs.append(dataclasses.replace(log, wall_clock=0.0, timings={},
+                                        config=config))
+    serial, pooled = logs
+    assert serial == pooled
+    assert serial.rows
+    if kind.startswith("ablate_"):
+        assert all(set(a) == {"seed", "tags", "diverged"}
+                   for a in serial.assumptions)
+        tag_keys = list(serial.assumptions[0]["tags"])
+        assert tag_keys
+        assert {tuple(a["tags"].values()) for a in serial.assumptions} == {
+            tuple(r[k] for k in tag_keys) for r in serial.rows
+        }
+    elif kind in ("train", "bn_audit"):
+        assert serial.assumptions == [
+            {"seed": 0, "diverged": False}, {"seed": 1, "diverged": False},
+        ]
+    elif kind == "overparam_grid":
+        assert serial.tables["monitors"]
+
+
+def test_parallel_map_caps_the_pool(monkeypatch):
+    """The pool starts one process per payload and per CPU at most; a
+    stand-in pool records its size and maps in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    assert _parallel_map(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert _parallel_map(abs, list(range(-20, 0)), 64) == list(range(20, 0, -1))
+    assert _parallel_map(abs, list(range(-20, 0)), 4) == list(range(20, 0, -1))
+    assert sizes == [3, 8, 4]
+    # a single payload, a single worker or an unknown CPU count: no pool
+    assert _parallel_map(abs, [-1], 64) == [1]
+    assert _parallel_map(abs, [-1, -2], 1) == [1, 2]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert _parallel_map(abs, [-1, -2], 64) == [1, 2]
+    assert sizes == [3, 8, 4]
 
 
 # -------------------------------------------------------------- ablations
