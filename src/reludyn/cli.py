@@ -20,7 +20,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .experiments import emit_reports, make_config, run_experiment
+from .experiments import _validator, emit_reports, make_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +39,10 @@ _SUBCOMMANDS: dict[str, str | None] = {
     "falloff": "falloff_probe",
 }
 
-_ABLATE_KINDS = ("ablate_size", "ablate_overparam", "ablate_finite")
+_ABLATE_KINDS = tuple(
+    kind for kind in _validator().schema["properties"]["kind"]["enum"]
+    if kind.startswith("ablate_")
+)
 
 
 def _parser() -> argparse.ArgumentParser:

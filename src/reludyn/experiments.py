@@ -10,7 +10,9 @@ pool with N workers produces exactly the serial result.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -73,81 +75,53 @@ RETRAIN_STREAM_OFF = 40_000
 VAL_BATCH = 2048
 DIVERGENCE_LOSS = 1e6
 
-_DEFAULTS: dict = {
-    "seeds": [0],
-    "eta": 0.01,
-    "epochs": 100,
-    "batches_per_epoch": 100,
-    "batch_size": 128,
-    "mode": "free-run",
-    "workers": 1,
-    "teacher": {
-        "layer_widths": [20, 10, 15, 20, 25],
-        "weight_grid": [-0.5, -0.25, 0.25, 0.5],
-        "bias_range": [-0.5, 0.5],
-        "seed": 0,
-    },
-    "student": {
-        "overparam_factor": 10,
-        "p_w": 0.0,
-        "p_v": 0.0,
-        "bn_mode": "none",
-    },
-    "stream": {"std": 10.0, "mode": "infinite", "n_samples": 0},
-    "grid": {
-        "dim": 10,
-        "teacher_width": 20,
-        "outputs": 30,
-        "teacher_seed": 0,
-        "overparams": [2, 5, 10],
-        "cells": [[10.0, 10.0], [10.0, 0.0], [0.0, 10.0], [0.0, 0.0]],
-        "iterations": 2000,
-        "n_mc": 1024,
-        "eta": 0.05,
-        "tau": 0.0,
-        "record_every": 20,
-        "monitor_every": 50,
-        "probe_n": 50000,
-    },
-    "ablate": {
-        "archs": [[20, 10, 15, 20, 25], [20, 50, 75, 100, 125]],
-        "bn_modes": ["none", "linear_relu_bn"],
-        "factors": [1, 2, 5, 10, 20, 50],
-        "finite_sizes": [512],
-    },
-    "lottery": {"retrain_epochs": 0},
-    "falloff": {
-        "dim": 20,
-        "scales": [0.02, 0.05, 0.1, 0.2],
-        "n": 200000,
-        "n_directions": 4,
-    },
-    "psi": {
-        "angles": [0.5235987755982988, 1.0471975511965976, 1.5707963267948966],
-        "n": 200000,
-    },
-    "verify": {"n_trials": 20, "tol": 1e-10},
-}
-
 _KIND_OVERRIDES: dict = {
     "bn_audit": {"student": {"bn_mode": "linear_relu_bn"}},
 }
 
-_VALIDATOR = None
 
-
-def _validator():
-    """Validator of the packaged config schema, built on first use.
+@functools.cache
+def _schema_facts() -> tuple:
+    """The packaged config schema's validator and the defaults dict its
+    properties carry, built on first use.
 
     The schema is static, so it is checked against its metaschema by the
     test suite rather than on every validation.
     """
-    global _VALIDATOR
-    if _VALIDATOR is None:
-        text = resources.files("reludyn").joinpath("config_schema.json").read_text()
-        schema = json.loads(text)
-        _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
-    return _VALIDATOR
+    text = resources.files("reludyn").joinpath("config_schema.json").read_text()
+    schema = json.loads(text)
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    return validator, _defaults(schema)
+
+
+def _validator():
+    """Validator of the packaged config schema."""
+    return _schema_facts()[0]
+
+
+def _defaults(node: dict) -> dict:
+    """The "default" of every leaf property under an object node."""
+    return {
+        key: _defaults(prop) if "properties" in prop else prop["default"]
+        for key, prop in node["properties"].items()
+        if "properties" in prop or "default" in prop
+    }
+
+
+def _typed(value, node: dict):
+    """A validated value with each number under an "integer" node made an
+    int and each under a "number" node made a float, so that an integer
+    written as 2.0 reaches the runners as 2."""
+    kind = node.get("type")
+    if kind == "object":
+        return {k: _typed(v, node["properties"][k]) for k, v in value.items()}
+    if kind == "array":
+        return [_typed(v, node["items"]) for v in value]
+    if kind == "integer":
+        return int(value)
+    if kind == "number":
+        return float(value)
+    return value
 
 
 def config_hash(data: dict) -> str:
@@ -198,42 +172,29 @@ class ExperimentConfig:
 
 
 def make_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config dict against the schema and fill defaults."""
+    """Validate a raw config dict against the schema, fill the schema's
+    defaults and type each section once.
+
+    raw and config_hash keep the merged values as written; the sections
+    hold them typed.
+    """
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    validator, defaults = _schema_facts()
+    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
     if error is not None:
         raise ConfigurationError(f"config rejected: {error.message}")
     kind = data["kind"]
-    merged = _merge(_DEFAULTS, _KIND_OVERRIDES.get(kind, {}))
+    merged = _merge(defaults, _KIND_OVERRIDES.get(kind, {}))
     merged = _merge(merged, data)
-    merged["kind"] = kind
     if kind == "lottery" and merged["student"]["bn_mode"] != "none":
         raise ConfigurationError(
             "pruning zeroes whole channels and degenerates batch statistics; "
             "lottery runs require bn_mode none"
         )
-    return ExperimentConfig(
-        kind=kind,
-        seeds=tuple(int(s) for s in merged["seeds"]),
-        eta=float(merged["eta"]),
-        epochs=int(merged["epochs"]),
-        batches_per_epoch=int(merged["batches_per_epoch"]),
-        batch_size=int(merged["batch_size"]),
-        mode=str(merged["mode"]),
-        workers=int(merged["workers"]),
-        teacher=merged["teacher"],
-        student=merged["student"],
-        stream=merged["stream"],
-        grid=merged["grid"],
-        ablate=merged["ablate"],
-        lottery=merged["lottery"],
-        falloff=merged["falloff"],
-        psi=merged["psi"],
-        verify=merged["verify"],
-        raw=merged,
-        config_hash=config_hash(merged),
-    )
+    typed = _typed(merged, validator.schema)
+    typed["seeds"] = tuple(typed["seeds"])
+    return ExperimentConfig(**typed, raw=merged, config_hash=config_hash(merged))
 
 
 @dataclass
@@ -412,16 +373,15 @@ def _training_units(cfg: ExperimentConfig) -> list[dict]:
         ]
     elif cfg.kind == "ablate_overparam":
         levels = [
-            ({"factor": int(f)},
-             {"student": dict(cfg.student, overparam_factor=int(f))})
+            ({"factor": f}, {"student": dict(cfg.student, overparam_factor=f)})
             for f in cfg.ablate["factors"]
         ]
     elif cfg.kind == "ablate_finite":
         levels = [
-            ({"samples": int(size)},
+            ({"samples": size},
              {"stream": dict(cfg.stream, mode="finite" if size else "infinite",
-                             n_samples=int(size))})
-            for size in list(cfg.ablate["finite_sizes"]) + [0]
+                             n_samples=size)})
+            for size in cfg.ablate["finite_sizes"] + [0]
         ]
     units = []
     for tags, sections in levels:
@@ -566,7 +526,7 @@ def _lottery_unit(payload: tuple) -> dict:
          _prune_to(_student(teacher, unit, seed + REINIT_OFF), keep)),
         ("baseline", student0),
     )
-    retrain = int(cfg.lottery["retrain_epochs"] or cfg.epochs)
+    retrain = cfg.lottery["retrain_epochs"] or cfg.epochs
     rows = [dict(seed=seed, arm="base", **r) for r in base_rows]
     summaries = []
     for arm, net0 in arms:
@@ -631,9 +591,9 @@ def run_verify_identity(cfg: ExperimentConfig) -> RunLog:
     trial over tolerance marks the whole log failed.
     """
     rng = np.random.default_rng(cfg.seeds[0])
-    tol = float(cfg.verify["tol"])
+    tol = cfg.verify["tol"]
     rows = []
-    for trial in range(int(cfg.verify["n_trials"])):
+    for trial in range(cfg.verify["n_trials"]):
         depth = int(rng.integers(2, 5))
         d_in = int(rng.integers(3, 13))
         d_out = int(rng.integers(3, 9))
@@ -666,7 +626,7 @@ def run_psi_check(cfg: ExperimentConfig) -> RunLog:
     Each seed also checks trial -1, the self-overlap at angle 0 (closed
     form 1/2), on a stream of its own.
     """
-    n = int(cfg.psi["n"])
+    n = cfg.psi["n"]
     w1 = np.array([1.0, 0.0])
     rows = []
     for seed in cfg.seeds:
@@ -679,7 +639,7 @@ def run_psi_check(cfg: ExperimentConfig) -> RunLog:
             val, err = psi_d(w1, w2, stream, n)
             ref = (math.pi - angle) / (2.0 * math.pi)
             rows.append({
-                "seed": seed, "trial": trial, "angle": float(angle),
+                "seed": seed, "trial": trial, "angle": angle,
                 "psi_d": float(val), "stderr": float(err),
                 "closed_form": ref,
                 "ok": int(abs(val - ref) <= 4.0 * err + 1e-12),
@@ -694,13 +654,12 @@ def run_falloff(cfg: ExperimentConfig) -> RunLog:
     rows, points = [], []
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
-        w_star = rng.normal(size=int(f["dim"]))
+        w_star = rng.normal(size=f["dim"])
         w_star /= np.linalg.norm(w_star)
-        stream = GausStream(dim=int(f["dim"]), std=1.0,
-                            seed=_derive_seed(70, seed))
+        stream = GausStream(dim=f["dim"], std=1.0, seed=_derive_seed(70, seed))
         probe = quadratic_falloff_probe(
-            w_star, tuple(f["scales"]), stream, int(f["n"]),
-            n_directions=int(f["n_directions"]), seed=_derive_seed(71, seed),
+            w_star, tuple(f["scales"]), stream, f["n"],
+            n_directions=f["n_directions"], seed=_derive_seed(71, seed),
         )
         rows.append({
             "seed": seed, "exponent": float(probe.exponent),
@@ -740,7 +699,7 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     m, n = state.u_count, state.n_filters
     x = next_batch(
         GausStream(dim=d, std=1.0, seed=_derive_seed(5, cell_index)),
-        int(grid["probe_n"]),
+        grid["probe_n"],
     )
     d_t, l_t = self_moments(x, state.targets, grid["tau"])
     d_diag, l_diag = np.diag(d_t), np.diag(l_t)
@@ -758,7 +717,7 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     k_d, k_l = geodesic_slopes(
         state.w[:, :m], state.w_star,
         GausStream(dim=d, std=1.0, seed=_derive_seed(6, cell_index)),
-        int(grid["probe_n"]), tau=grid["tau"],
+        grid["probe_n"], tau=grid["tau"],
     )
     row_norms = np.linalg.norm(state.v, axis=1)
     b_v = float(max(np.linalg.norm(state.v_star, axis=1).max(),
@@ -842,28 +801,31 @@ def _grid_unit(payload: dict) -> dict:
             detail.append(entry)
 
     record(0, 0)
-    for it in range(1, g["iterations"] + 1):
-        x = next_batch(stream, g["n_mc"])
-        try:
-            state = step_two_layer(state, two_layer_moments(state, x))
-        except NumericError:
-            record(it - 1, 1)
-            break
-        if it % g["record_every"] == 0 or it == g["iterations"]:
-            record(it, 0)
-        if monitor_x is not None and it % g["monitor_every"] == 0:
-            entry = monitor_hypotheses(state, ledger, it + 1, monitor_x)
-            mrow = dict(tags, seed=seed, t=entry.t)
-            for key in ("w_separation_ok", "wu_contraction_ok",
-                        "v_contraction_ok", "wr_bound_ok"):
-                mrow[key] = int(getattr(entry, key))
-            slacks = {key: float(getattr(entry, key)) for key in (
-                "slack_w_separation", "slack_wu", "slack_v", "slack_wr")}
-            mrow.update(slacks)
-            monitors.append(mrow)
-            if detail[-1]["t"] == it:
-                detail[-1].update(slacks, gamma=ledger.gamma,
-                                  rate_w=ledger.rate_w)
+    # as in _run_training: overflow on the way to a diverged step is an
+    # expected, recorded outcome
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, g["iterations"] + 1):
+            x = next_batch(stream, g["n_mc"])
+            try:
+                state = step_two_layer(state, two_layer_moments(state, x))
+            except NumericError:
+                record(it - 1, 1)
+                break
+            if it % g["record_every"] == 0 or it == g["iterations"]:
+                record(it, 0)
+            if monitor_x is not None and it % g["monitor_every"] == 0:
+                entry = monitor_hypotheses(state, ledger, it + 1, monitor_x)
+                mrow = dict(tags, seed=seed, t=entry.t)
+                for key in ("w_separation_ok", "wu_contraction_ok",
+                            "v_contraction_ok", "wr_bound_ok"):
+                    mrow[key] = int(getattr(entry, key))
+                slacks = {key: float(getattr(entry, key)) for key in (
+                    "slack_w_separation", "slack_wu", "slack_v", "slack_wr")}
+                mrow.update(slacks)
+                monitors.append(mrow)
+                if detail[-1]["t"] == it:
+                    detail[-1].update(slacks, gamma=ledger.gamma,
+                                      rate_w=ledger.rate_w)
     return {"rows": rows, "monitors": monitors, "detail": detail}
 
 
@@ -886,15 +848,14 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     c0_probe = quadratic_falloff_probe(
         w_star[:, 0], (0.05, 0.1, 0.2, 0.4),
         GausStream(dim=g["dim"], std=1.0, seed=_derive_seed(4)),
-        int(g["probe_n"]), n_directions=4, seed=0, tau=g["tau"],
+        g["probe_n"], n_directions=4, seed=0, tau=g["tau"],
     )
     t1 = time.perf_counter()
     cells = [
         {"key": _cell_key(o, p_w, p_v), "cell_index": ci,
          "overparam": o, "p_w": p_w, "p_v": p_v}
-        for ci, (o, p_w, p_v) in enumerate(
-            (int(o), float(pw), float(pv))
-            for o in g["overparams"] for pw, pv in g["cells"]
+        for ci, (o, (p_w, p_v)) in enumerate(
+            itertools.product(g["overparams"], g["cells"])
         )
     ]
     measured = _parallel_map(_ledger_unit, [

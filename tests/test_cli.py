@@ -52,6 +52,48 @@ MIN_SIZE_RUNS = {
 }
 
 
+# every integer field each runner reads, spelled out so that it can be
+# rewritten as x.0
+INT_NET = {
+    "seeds": [0, 1], "workers": 1, "epochs": 1, "batches_per_epoch": 3,
+    "batch_size": 16, "eta": 0.005,
+    "teacher": {"layer_widths": [4, 3, 2], "seed": 3},
+    "student": {"overparam_factor": 2},
+    "stream": {"std": 1.0, "mode": "finite", "n_samples": 40},
+}
+INTEGRAL_FLOAT_RUNS = {
+    "train": ("train", dict(INT_NET, kind="train")),
+    "lottery": ("lottery", dict(
+        INT_NET, kind="lottery", lottery={"retrain_epochs": 1},
+    )),
+    "ablate_finite": ("ablate", dict(
+        INT_NET, kind="ablate_finite", ablate={"finite_sizes": [32]},
+    )),
+    "ablate_size": ("ablate", dict(
+        INT_NET, kind="ablate_size",
+        ablate={"archs": [[4, 3, 2], [4, 5, 2]], "bn_modes": ["none"]},
+    )),
+    "overparam-grid": ("overparam-grid", {
+        "kind": "overparam_grid", "seeds": [0], "workers": 1,
+        "grid": {"dim": 5, "teacher_width": 4, "outputs": 3,
+                 "teacher_seed": 7, "overparams": [2],
+                 "cells": [[10.0, 10.0]], "iterations": 4, "n_mc": 64,
+                 "record_every": 2, "monitor_every": 2, "probe_n": 4096},
+    }),
+}
+
+
+def integral_floats(data):
+    """data with every int written as a float: 2 -> 2.0."""
+    if isinstance(data, dict):
+        return {k: integral_floats(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [integral_floats(v) for v in data]
+    if isinstance(data, int) and not isinstance(data, bool):
+        return float(data)
+    return data
+
+
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -229,3 +271,57 @@ def test_min_size_configs_end_in_documented_exit_codes(tmp_path, name):
             if path.suffix in (".csv", ".json"):
                 text = path.read_text()
                 assert not re.search(r"\bnan\b", text, re.IGNORECASE), path.name
+
+
+@pytest.mark.parametrize("name", sorted(MIN_SIZE_RUNS))
+def test_min_size_configs_written_as_floats_exit_as_written(tmp_path, name):
+    command, data = MIN_SIZE_RUNS[name]
+    codes = [
+        main([command, "--config", write_config(tmp_path, d, f"{i}.json"),
+              "--out", str(tmp_path / str(i))])
+        for i, d in enumerate((data, integral_floats(data)))
+    ]
+    assert codes[1] == codes[0]
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_FLOAT_RUNS))
+def test_integer_fields_written_as_floats_run_the_same(tmp_path, name):
+    command, data = INTEGRAL_FLOAT_RUNS[name]
+    outs = {}
+    for spelling, cfg_data in (("int", data), ("float", integral_floats(data))):
+        cfg = write_config(tmp_path, cfg_data, name=f"{spelling}.json")
+        out = tmp_path / spelling
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outs[spelling] = out
+    csvs = sorted(p.name for p in outs["int"].glob("*.csv"))
+    assert csvs == sorted(p.name for p in outs["float"].glob("*.csv"))
+    assert "summary.csv" in csvs
+    for fname in csvs:
+        rows = [
+            (outs[s] / fname).read_text().splitlines() for s in ("int", "float")
+        ]
+        if fname == "summary.csv":
+            # the config hash column differs: the hash reads the config as
+            # written
+            rows = [[line.split(",", 1)[1] for line in r] for r in rows]
+        assert rows[0] == rows[1], fname
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_grid_runs_without_warnings(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {
+        "dim": 5, "teacher_width": 4, "outputs": 3, "overparams": [2],
+        "cells": [[10.0, 10.0], [0.0, 0.0]], "iterations": 60, "eta": 500,
+        "probe_n": 4000, "n_mc": 256, "record_every": 1,
+    }})
+    out = tmp_path / "out"
+    assert main(["overparam-grid", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 55
+    # each cell stops at its first non-finite update, re-recording the
+    # last finite state as diverged
+    assert [(r["p_w"], r["iteration"]) for r in rows
+            if r["diverged"] == "1"] == [("10.0", "26"), ("0.0", "25")]

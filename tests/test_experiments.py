@@ -73,6 +73,65 @@ def test_config_schema_is_valid_under_its_metaschema():
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
+# make_config({"kind": k}).config_hash from when the defaults lived in a
+# Python dict: a default retyped in the schema (0 for 0.0) moves a hash
+PINNED_DEFAULT_HASHES = {
+    "verify_identity": "51f784b34fea6a5a",
+    "train": "d9b01a254da76338",
+    "overparam_grid": "c19eade567226b39",
+    "ablate_size": "f8270ab8fcd059fa",
+    "ablate_overparam": "6b2437813232ea7d",
+    "ablate_finite": "7dd92bcaf308a478",
+    "lottery": "7bf7913b1423953a",
+    "bn_audit": "31fd7e168eca3a02",
+    "psi_check": "8790b042c7a26b6b",
+    "falloff_probe": "d10f64615b8d4061",
+}
+
+
+def schema_leaves(node, path=()):
+    for key, prop in node["properties"].items():
+        if "properties" in prop:
+            yield from schema_leaves(prop, path + (key,))
+        else:
+            yield path + (key,), prop
+
+
+def test_schema_holds_every_default_and_keeps_the_hashes():
+    validator = _validator()
+    leaves = dict(schema_leaves(validator.schema))
+    assert len(leaves) == 45
+    for path, prop in leaves.items():
+        if path == ("kind",):
+            assert "default" not in prop
+            continue
+        assert "default" in prop, path
+        assert type(validator)(prop).is_valid(prop["default"]), path
+    kinds = validator.schema["properties"]["kind"]["enum"]
+    assert {k: make_config({"kind": k}).config_hash for k in kinds} == (
+        PINNED_DEFAULT_HASHES
+    )
+
+
+def test_config_sections_are_typed_and_raw_is_as_written():
+    cfg = make_config({
+        "kind": "ablate_size", "seeds": [3.0], "epochs": 2.0, "eta": 1,
+        "student": {"overparam_factor": 2.0, "p_w": 1},
+        "ablate": {"archs": [[4.0, 3, 2.0]]},
+        "grid": {"cells": [[1, 0]], "probe_n": 100.0},
+    })
+    assert cfg.seeds == (3,) and type(cfg.seeds[0]) is int
+    assert type(cfg.epochs) is int and type(cfg.eta) is float
+    assert type(cfg.student["overparam_factor"]) is int
+    assert type(cfg.student["p_w"]) is float
+    assert all(type(w) is int for w in cfg.ablate["archs"][0])
+    assert all(type(p) is float for p in cfg.grid["cells"][0])
+    assert type(cfg.grid["probe_n"]) is int
+    assert cfg.raw["epochs"] == 2.0 and type(cfg.raw["epochs"]) is float
+    assert cfg.raw["ablate"]["archs"] == [[4.0, 3, 2.0]]
+    assert cfg.config_hash == config_hash(cfg.raw)
+
+
 def test_config_hash_ignores_key_order():
     a = make_config({"kind": "train", "seeds": [1, 2], "eta": 0.02})
     b = make_config({"eta": 0.02, "seeds": [1, 2], "kind": "train"})
