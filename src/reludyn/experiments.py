@@ -108,18 +108,27 @@ def _defaults(node: dict) -> dict:
     }
 
 
-def _typed(value, node: dict):
+def _typed(value, node: dict, key: str = "config"):
     """A validated value with each number under an "integer" node made an
     int and each under a "number" node made a float, so that an integer
-    written as 2.0 reaches the runners as 2."""
+    written as 2.0 reaches the runners as 2.
+
+    json.loads accepts NaN and Infinity and the schema's bounds let them
+    through, so a non-finite number is rejected here, naming its key.
+    """
     kind = node.get("type")
     if kind == "object":
-        return {k: _typed(v, node["properties"][k]) for k, v in value.items()}
+        return {
+            k: _typed(v, node["properties"][k], f"{key}.{k}")
+            for k, v in value.items()
+        }
     if kind == "array":
-        return [_typed(v, node["items"]) for v in value]
+        return [_typed(v, node["items"], f"{key}[{i}]") for i, v in enumerate(value)]
     if kind == "integer":
         return int(value)
     if kind == "number":
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
         return float(value)
     return value
 
@@ -568,10 +577,7 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
 
 def _random_net(rng: np.random.Generator, widths: list[int],
                 bias: bool) -> Network:
-    spec = NetworkSpec(
-        layer_widths=tuple(widths), bn_mode="none",
-        has_bias=(bias,) * (len(widths) - 1),
-    )
+    spec = NetworkSpec(layer_widths=tuple(widths), bn_mode="none", bias=bias)
     weights = [
         rng.normal(0.0, 1.0 / math.sqrt(widths[li]),
                    size=(widths[li], widths[li + 1]))

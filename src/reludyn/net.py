@@ -9,10 +9,14 @@ Conventions used throughout the package:
 * Hidden layers apply ReLU; the top layer is linear (gate identically 1).
 * The ReLU gate at exactly 0 is defined as 0, which makes the identity
   ``relu(x) == gate(x) * x`` exact in floating point.
-* BatchNorm always uses the statistics of the current batch.  Under
+* BatchNorm sits on every hidden layer when ``bn_mode`` is not ``"none"``
+  and always uses the statistics of the current batch.  Under
   ``linear_relu_bn`` the order is linear -> ReLU -> BN; under
-  ``linear_bn_relu`` it is linear -> BN -> ReLU.  Hidden linear layers drop
-  their bias when BN is active (the BN shift c1 absorbs it).
+  ``linear_bn_relu`` it is linear -> BN -> ReLU.  The top layer never has
+  BN.
+* ``NetworkSpec.bias`` switches biases on or off for the whole network; a
+  hidden layer under BN never has one (the BN shift c1 absorbs it), so
+  ``spec.has_bias(li)`` is ``bias and not has_bn(li)``.
 * Gradients follow the negative convention: the stored quantities point in
   the direction that decreases the loss, and ``sgd_step`` *adds* them.
   At the top layer the per-sample node gradient is ``target - output``.
@@ -38,11 +42,11 @@ SIGMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture: layer widths, BN placement, and per-layer bias flags."""
+    """Architecture: layer widths, BN placement, and whether layers have biases."""
 
     layer_widths: tuple[int, ...]
     bn_mode: str = "none"
-    has_bias: tuple[bool, ...] = ()
+    bias: bool = True
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -53,23 +57,6 @@ class NetworkSpec:
             raise ConfigurationError(f"all widths must be >= 1, got {widths}")
         if self.bn_mode not in BN_MODES:
             raise ConfigurationError(f"unknown bn_mode {self.bn_mode!r}")
-        n_layers = len(widths) - 1
-        if not self.has_bias:
-            # default: biases everywhere, except hidden layers under BN
-            if self.bn_mode == "none":
-                flags = (True,) * n_layers
-            else:
-                flags = (False,) * (n_layers - 1) + (True,)
-            object.__setattr__(self, "has_bias", flags)
-        else:
-            flags = tuple(bool(b) for b in self.has_bias)
-            if len(flags) != n_layers:
-                raise ConfigurationError("has_bias needs one flag per layer")
-            if self.bn_mode != "none" and any(flags[:-1]):
-                raise ConfigurationError(
-                    "hidden linear bias must be disabled when BN is active"
-                )
-            object.__setattr__(self, "has_bias", flags)
 
     @property
     def n_layers(self) -> int:
@@ -78,6 +65,10 @@ class NetworkSpec:
     def has_bn(self, li: int) -> bool:
         """True when 0-based layer li carries a BN site (hidden layers only)."""
         return self.bn_mode != "none" and li < self.n_layers - 1
+
+    def has_bias(self, li: int) -> bool:
+        """True when 0-based layer li has a bias: never under a BN site."""
+        return self.bias and not self.has_bn(li)
 
 
 @dataclass(frozen=True)
@@ -91,39 +82,41 @@ class Network:
     bn_c1: tuple[np.ndarray | None, ...]
 
     def __post_init__(self):
-        widths = self.spec.layer_widths
-        if len(self.weights) != self.spec.n_layers:
-            raise ConfigurationError("wrong number of weight matrices")
-        for li, w in enumerate(self.weights):
-            if w.shape != (widths[li], widths[li + 1]):
-                raise ConfigurationError(
-                    f"layer {li}: weight shape {w.shape} != "
-                    f"({widths[li]}, {widths[li + 1]})"
-                )
-            if not np.all(np.isfinite(w)):
-                raise NumericError(f"layer {li}: non-finite weights")
-        for li in range(self.spec.n_layers):
-            b = self.biases[li]
-            if self.spec.has_bias[li]:
-                if b is None or b.shape != (widths[li + 1],):
-                    raise ConfigurationError(f"layer {li}: bad bias vector")
-                if not np.all(np.isfinite(b)):
-                    raise NumericError(f"layer {li}: non-finite bias")
-            elif b is not None:
-                raise ConfigurationError(f"layer {li}: unexpected bias")
-            c0, c1 = self.bn_c0[li], self.bn_c1[li]
-            if self.spec.has_bn(li):
-                for v, name in ((c0, "c0"), (c1, "c1")):
-                    if v is None or v.shape != (widths[li + 1],):
-                        raise ConfigurationError(f"layer {li}: bad BN {name}")
-                    if not np.all(np.isfinite(v)):
-                        raise NumericError(f"layer {li}: non-finite BN {name}")
-            elif c0 is not None or c1 is not None:
-                raise ConfigurationError(f"layer {li}: unexpected BN params")
+        spec = self.spec
+        n = spec.n_layers
+        layers = (self.weights, self.biases, self.bn_c0, self.bn_c1)
+        if any(len(params) != n for params in layers):
+            raise ConfigurationError("need one entry per layer for each parameter")
+        for li, params in enumerate(zip(*layers)):
+            fan_in, width = spec.layer_widths[li], spec.layer_widths[li + 1]
+            bn = spec.has_bn(li)
+            for name, v, wanted, shape in zip(
+                ("weights", "bias", "BN c0", "BN c1"),
+                params,
+                (True, spec.has_bias(li), bn, bn),
+                ((fan_in, width), (width,), (width,), (width,)),
+            ):
+                if not wanted:
+                    if v is not None:
+                        raise ConfigurationError(f"layer {li}: unexpected {name}")
+                elif v is None or v.shape != shape:
+                    raise ConfigurationError(f"layer {li}: {name} is not {shape}")
+                elif not np.all(np.isfinite(v)):
+                    raise NumericError(f"layer {li}: non-finite {name}")
 
     @property
     def n_layers(self) -> int:
         return self.spec.n_layers
+
+
+def _filled(spec, given, present, fill) -> tuple[np.ndarray | None, ...]:
+    """The given per-layer arrays as float64, else fill(width) where present."""
+    if given is None:
+        given = [
+            fill(spec.layer_widths[li + 1]) if present(li) else None
+            for li in range(spec.n_layers)
+        ]
+    return tuple(None if v is None else np.asarray(v, dtype=np.float64) for v in given)
 
 
 def build_network(
@@ -134,31 +127,12 @@ def build_network(
     bn_c1: list[np.ndarray | None] | None = None,
 ) -> Network:
     """Assemble a Network, filling default biases (0) and BN params (1, 0)."""
-    n = spec.n_layers
-    widths = spec.layer_widths
-    ws = tuple(np.asarray(w, dtype=np.float64) for w in weights)
-    if biases is None:
-        biases = [
-            np.zeros(widths[li + 1]) if spec.has_bias[li] else None
-            for li in range(n)
-        ]
-    if bn_c0 is None:
-        bn_c0 = [
-            np.ones(widths[li + 1]) if spec.has_bn(li) else None
-            for li in range(n)
-        ]
-    if bn_c1 is None:
-        bn_c1 = [
-            np.zeros(widths[li + 1]) if spec.has_bn(li) else None
-            for li in range(n)
-        ]
-    as_f64 = lambda v: None if v is None else np.asarray(v, dtype=np.float64)
     return Network(
         spec=spec,
-        weights=ws,
-        biases=tuple(as_f64(b) for b in biases),
-        bn_c0=tuple(as_f64(v) for v in bn_c0),
-        bn_c1=tuple(as_f64(v) for v in bn_c1),
+        weights=tuple(np.asarray(w, dtype=np.float64) for w in weights),
+        biases=_filled(spec, biases, spec.has_bias, np.zeros),
+        bn_c0=_filled(spec, bn_c0, spec.has_bn, np.ones),
+        bn_c1=_filled(spec, bn_c1, spec.has_bn, np.zeros),
     )
 
 
@@ -218,7 +192,8 @@ class GradientSet:
     bn_c1: list[np.ndarray | None]
 
 
-def _bn_stats(f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bn(f_in: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> tuple[BNSite, np.ndarray]:
+    """Batch-normalize f_in per channel: the site record and c0 * f~ + c1."""
     if f_in.shape[0] < 2:
         raise PreconditionError("BN needs batch size >= 2")
     mu = f_in.mean(axis=0)
@@ -226,7 +201,8 @@ def _bn_stats(f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sigma = np.sqrt(var + BN_EPS)
     if np.any(sigma < SIGMA_FLOOR):
         raise DegenerateBatchError("zero batch std at a BN site")
-    return mu, sigma, (f_in - mu) / sigma
+    f_tilde = (f_in - mu) / sigma
+    return BNSite(f_in, mu, sigma, f_tilde, c0), c0 * f_tilde + c1
 
 
 def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
@@ -245,28 +221,18 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
         pre = h @ net.weights[li]
         if net.biases[li] is not None:
             pre = pre + net.biases[li]
+        site = None
         if li == n_layers - 1:
             gate = np.ones_like(pre)
-            act = pre
-            out = pre
-            site = None
-        elif mode == "linear_bn_relu":
-            mu, sigma, f_tilde = _bn_stats(pre)
-            site = BNSite(pre, mu, sigma, f_tilde, net.bn_c0[li])
-            y = net.bn_c0[li] * f_tilde + net.bn_c1[li]
-            gate = (y > 0).astype(np.float64)
-            act = gate * y
-            out = act
+            act = out = pre
         else:
-            gate = (pre > 0).astype(np.float64)
-            act = gate * pre
+            y = pre
+            if mode == "linear_bn_relu":
+                site, y = _bn(pre, net.bn_c0[li], net.bn_c1[li])
+            gate = (y > 0).astype(np.float64)
+            act = out = gate * y
             if mode == "linear_relu_bn":
-                mu, sigma, f_tilde = _bn_stats(act)
-                site = BNSite(act, mu, sigma, f_tilde, net.bn_c0[li])
-                out = net.bn_c0[li] * f_tilde + net.bn_c1[li]
-            else:
-                site = None
-                out = act
+                site, out = _bn(act, net.bn_c0[li], net.bn_c1[li])
         pre_l.append(pre)
         gate_l.append(gate)
         act_l.append(act)
@@ -325,24 +291,20 @@ def backward(
     gc1: list[np.ndarray | None] = [None] * n_layers
     node[n_layers - 1] = target - trace.outputs
     for li in range(n_layers - 1, 0, -1):
-        g_up = node[li] @ net.weights[li].T  # gradient at out[li - 1]
+        g = node[li] @ net.weights[li].T  # gradient at out[li - 1]
         hi = li - 1
-        if mode == "none":
-            node[hi] = trace.gate[hi] * g_up
-        elif mode == "linear_relu_bn":
-            g_relu, s_c0, s_c1 = bn_backward(g_up, trace.bn[hi])
-            gc0[hi] = s_c0 / batch
-            gc1[hi] = s_c1 / batch
-            node[hi] = trace.gate[hi] * g_relu
-        else:  # linear_bn_relu
-            g_y = trace.gate[hi] * g_up
-            g_pre, s_c0, s_c1 = bn_backward(g_y, trace.bn[hi])
-            gc0[hi] = s_c0 / batch
-            gc1[hi] = s_c1 / batch
-            node[hi] = g_pre
+        if mode == "linear_relu_bn":
+            g, gc0[hi], gc1[hi] = bn_backward(g, trace.bn[hi])
+        g = trace.gate[hi] * g
+        if mode == "linear_bn_relu":
+            g, gc0[hi], gc1[hi] = bn_backward(g, trace.bn[hi])
+        node[hi] = g
+    # bn_backward returns batch sums; the loss is a batch mean
+    gc0 = [None if s is None else s / batch for s in gc0]
+    gc1 = [None if s is None else s / batch for s in gc1]
     gw = [trace.layer_input(li).T @ node[li] / batch for li in range(n_layers)]
     gb = [
-        node[li].mean(axis=0) if net.spec.has_bias[li] else None
+        node[li].mean(axis=0) if net.spec.has_bias(li) else None
         for li in range(n_layers)
     ]
     return GradientSet(node=node, weights=gw, biases=gb, bn_c0=gc0, bn_c1=gc1)

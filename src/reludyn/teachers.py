@@ -108,9 +108,9 @@ def make_student(
     noise at strength p_w, the rest being pure noise.  For layers past the
     first, teacher columns are placed on the u-input coordinates and padded
     with zeros elsewhere before mixing.  Top-layer rows mix with p_v and are
-    never normalized; hidden columns are unit norm.  Biases start at zero
-    wherever the teacher has one (dropped on hidden layers when BN is
-    active).
+    never normalized; hidden columns are unit norm.  The student has biases
+    when the teacher does, starting at zero, except on hidden layers under
+    BN.
     """
     rng = np.random.default_rng(init.seed)
     k = init.overparam_factor
@@ -139,14 +139,9 @@ def make_student(
     if init.p_v > 0:
         v[:m_prev, :] = init.p_v * teacher.weights[-1] + v[:m_prev, :]
     weights.append(v)
-    # a student keeps a trainable bias only where the teacher has one,
-    # and under BN only on the top layer
-    flags = tuple(
-        teacher.biases[li] is not None
-        and (bn_mode == "none" or li == n_layers - 1)
-        for li in range(n_layers)
+    spec = NetworkSpec(
+        layer_widths=widths, bn_mode=bn_mode, bias=teacher.spec.bias
     )
-    spec = NetworkSpec(layer_widths=widths, bn_mode=bn_mode, has_bias=flags)
     return build_network(spec, weights)
 
 

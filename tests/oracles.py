@@ -5,7 +5,10 @@ backward pass or constants code: finite differences through the forward
 evaluation, brute-force 2D Monte Carlo, arc-cosine kernel closed forms,
 the two-matmul mean±stderr moment formula, a per-kernel geodesic slope
 loop, and a second, separately coded arithmetic path for the
-convergence-constant ledgers.
+convergence-constant ledgers.  ``forward_reference`` and
+``backward_reference`` keep the step's earlier form, one branch per BN
+placement, as the bit-exact reference for ``net.forward`` and
+``net.backward``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,20 @@ import math
 
 import numpy as np
 
+from reludyn.errors import (
+    ConfigurationError,
+    DegenerateBatchError,
+    PreconditionError,
+)
 from reludyn.net import (
+    BN_EPS,
+    SIGMA_FLOOR,
+    BNSite,
+    ForwardTrace,
+    GradientSet,
     Network,
     NetworkSpec,
+    bn_backward,
     build_network,
     forward,
     squared_loss,
@@ -38,22 +52,14 @@ def random_network(
     bias: bool = True,
     weight_std_scale: float = 1.0,
 ) -> Network:
-    spec = NetworkSpec(
-        layer_widths=widths,
-        bn_mode=bn_mode,
-        has_bias=(
-            ()
-            if bias
-            else tuple(False for _ in range(len(widths) - 1))
-        ),
-    )
+    spec = NetworkSpec(layer_widths=widths, bn_mode=bn_mode, bias=bias)
     weights, biases, c0s, c1s = [], [], [], []
     for li in range(spec.n_layers):
         fan_in, width = widths[li], widths[li + 1]
         weights.append(
             rng.normal(0.0, weight_std_scale / math.sqrt(fan_in), (fan_in, width))
         )
-        biases.append(rng.normal(0.0, 0.1, width) if spec.has_bias[li] else None)
+        biases.append(rng.normal(0.0, 0.1, width) if spec.has_bias(li) else None)
         if spec.has_bn(li):
             c0s.append(rng.uniform(0.5, 1.5, width))
             c1s.append(rng.normal(0.0, 0.3, width))
@@ -100,6 +106,112 @@ def sample_kink_free_case(
         if trace_is_kink_free(net, x):
             return net, x
     raise RuntimeError("could not find a kink-free random case")
+
+
+# ---------------------------------------------------------------------------
+# the step with one branch per BN placement: bit-exact reference
+# ---------------------------------------------------------------------------
+
+def _bn_stats(f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if f_in.shape[0] < 2:
+        raise PreconditionError("BN needs batch size >= 2")
+    mu = f_in.mean(axis=0)
+    var = f_in.var(axis=0)
+    sigma = np.sqrt(var + BN_EPS)
+    if np.any(sigma < SIGMA_FLOOR):
+        raise DegenerateBatchError("zero batch std at a BN site")
+    return mu, sigma, (f_in - mu) / sigma
+
+
+def forward_reference(net: Network, batch: np.ndarray) -> ForwardTrace:
+    """Evaluate the network on a batch, recording the full trace."""
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.spec.layer_widths[0]:
+        raise ConfigurationError(
+            f"batch shape {x.shape} incompatible with input width "
+            f"{net.spec.layer_widths[0]}"
+        )
+    n_layers = net.n_layers
+    mode = net.spec.bn_mode
+    pre_l, gate_l, act_l, out_l, bn_l = [], [], [], [], []
+    h = x
+    for li in range(n_layers):
+        pre = h @ net.weights[li]
+        if net.biases[li] is not None:
+            pre = pre + net.biases[li]
+        if li == n_layers - 1:
+            gate = np.ones_like(pre)
+            act = pre
+            out = pre
+            site = None
+        elif mode == "linear_bn_relu":
+            mu, sigma, f_tilde = _bn_stats(pre)
+            site = BNSite(pre, mu, sigma, f_tilde, net.bn_c0[li])
+            y = net.bn_c0[li] * f_tilde + net.bn_c1[li]
+            gate = (y > 0).astype(np.float64)
+            act = gate * y
+            out = act
+        else:
+            gate = (pre > 0).astype(np.float64)
+            act = gate * pre
+            if mode == "linear_relu_bn":
+                mu, sigma, f_tilde = _bn_stats(act)
+                site = BNSite(act, mu, sigma, f_tilde, net.bn_c0[li])
+                out = net.bn_c0[li] * f_tilde + net.bn_c1[li]
+            else:
+                site = None
+                out = act
+        pre_l.append(pre)
+        gate_l.append(gate)
+        act_l.append(act)
+        out_l.append(out)
+        bn_l.append(site)
+        h = out
+    return ForwardTrace(x=x, pre=pre_l, gate=gate_l, act=act_l, out=out_l, bn=bn_l)
+
+
+def backward_reference(
+    net: Network, trace: ForwardTrace, teacher_out: np.ndarray
+) -> GradientSet:
+    """Manual backprop of the squared matching loss, negative convention.
+
+    The loss is 0.5 * batch mean of ||teacher_out - outputs||^2; the top
+    node gradient is teacher_out - outputs per sample.
+    """
+    target = np.asarray(teacher_out, dtype=np.float64)
+    if target.shape != trace.outputs.shape:
+        raise PreconditionError(
+            f"teacher_out shape {target.shape} != outputs {trace.outputs.shape}"
+        )
+    n_layers = net.n_layers
+    batch = trace.batch_size
+    mode = net.spec.bn_mode
+    node: list[np.ndarray | None] = [None] * n_layers
+    gc0: list[np.ndarray | None] = [None] * n_layers
+    gc1: list[np.ndarray | None] = [None] * n_layers
+    node[n_layers - 1] = target - trace.outputs
+    for li in range(n_layers - 1, 0, -1):
+        g_up = node[li] @ net.weights[li].T  # gradient at out[li - 1]
+        hi = li - 1
+        if mode == "none":
+            node[hi] = trace.gate[hi] * g_up
+        elif mode == "linear_relu_bn":
+            g_relu, s_c0, s_c1 = bn_backward(g_up, trace.bn[hi])
+            gc0[hi] = s_c0 / batch
+            gc1[hi] = s_c1 / batch
+            node[hi] = trace.gate[hi] * g_relu
+        else:  # linear_bn_relu
+            g_y = trace.gate[hi] * g_up
+            g_pre, s_c0, s_c1 = bn_backward(g_y, trace.bn[hi])
+            gc0[hi] = s_c0 / batch
+            gc1[hi] = s_c1 / batch
+            node[hi] = g_pre
+    gw = [trace.layer_input(li).T @ node[li] / batch for li in range(n_layers)]
+    gb = [
+        node[li].mean(axis=0) if net.biases[li] is not None else None
+        for li in range(n_layers)
+    ]
+    return GradientSet(node=node, weights=gw, biases=gb, bn_c0=gc0, bn_c1=gc1)
 
 
 # ---------------------------------------------------------------------------

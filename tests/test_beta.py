@@ -61,8 +61,8 @@ def test_identity_exact_across_architectures(s_widths, t_widths, seed):
 
 
 def test_identity_exact_without_biases():
-    spec_s = NetworkSpec(layer_widths=(5, 8, 3), has_bias=(False, False))
-    spec_t = NetworkSpec(layer_widths=(5, 6, 3), has_bias=(False, False))
+    spec_s = NetworkSpec(layer_widths=(5, 8, 3), bias=False)
+    spec_t = NetworkSpec(layer_widths=(5, 6, 3), bias=False)
     rng = np.random.default_rng(3)
     student = build_network(
         spec_s, [rng.normal(size=(5, 8)), rng.normal(size=(8, 3))]

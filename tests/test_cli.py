@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, overrides, end-to-end determinism."""
 
 import json
+import math
 import re
 
 import pytest
@@ -305,6 +306,27 @@ def test_integer_fields_written_as_floats_run_the_same(tmp_path, name):
             # written
             rows = [[line.split(",", 1)[1] for line in r] for r in rows]
         assert rows[0] == rows[1], fname
+
+
+# json.loads reads NaN and Infinity; each of these used to run (exit 0 or 3)
+NON_FINITE_RUNS = {
+    "psi-check-nan-angle": ("psi-check", {"psi": {"n": 2, "angles": [math.nan]}},
+                            "psi.angles[0]"),
+    "train-nan-eta": ("train", dict(TINY_TRAIN, eta=math.nan), "eta"),
+    "train-inf-eta": ("train", dict(TINY_TRAIN, eta=math.inf), "eta"),
+    "overparam-grid-inf-tau": (
+        "overparam-grid", {"grid": dict(TINY_GRID, tau=math.inf)}, "grid.tau",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_RUNS))
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, name):
+    command, data, key = NON_FINITE_RUNS[name]
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} must be finite" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -132,6 +132,16 @@ def test_config_sections_are_typed_and_raw_is_as_written():
     assert cfg.config_hash == config_hash(cfg.raw)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_make_config_rejects_non_finite_numbers(bad):
+    with pytest.raises(ConfigurationError, match="eta must be finite"):
+        make_config({"kind": "train", "eta": bad})
+    with pytest.raises(ConfigurationError,
+                       match=r"grid\.cells\[1\]\[0\] must be finite"):
+        make_config({"kind": "overparam_grid",
+                     "grid": {"cells": [[1.0, 0.0], [bad, 0.0]]}})
+
+
 def test_config_hash_ignores_key_order():
     a = make_config({"kind": "train", "seeds": [1, 2], "eta": 0.02})
     b = make_config({"eta": 0.02, "seeds": [1, 2], "kind": "train"})

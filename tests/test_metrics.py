@@ -176,7 +176,7 @@ def test_mean_rank_preconditions():
 
 
 def test_v_row_norms_hand_cases():
-    spec = NetworkSpec(layer_widths=(2, 2, 1), has_bias=(False, False))
+    spec = NetworkSpec(layer_widths=(2, 2, 1), bias=False)
     net = build_network(
         spec, [np.eye(2), np.array([[3.0], [4.0]])]
     )
@@ -184,7 +184,7 @@ def test_v_row_norms_hand_cases():
     net_zero = build_network(spec, [np.eye(2), np.zeros((2, 1))])
     assert v_row_norms(net_zero, 0).tolist() == [0.0, 0.0]
     net_345 = build_network(
-        NetworkSpec(layer_widths=(2, 1, 2), has_bias=(False, False)),
+        NetworkSpec(layer_widths=(2, 1, 2), bias=False),
         [np.ones((2, 1)), np.array([[3.0, 4.0]])],
     )
     assert v_row_norms(net_345, 0).tolist() == [5.0]

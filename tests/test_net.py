@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reludyn.errors import (
     ConfigurationError,
@@ -10,6 +11,7 @@ from reludyn.errors import (
     PreconditionError,
 )
 from reludyn.net import (
+    BN_MODES,
     BNSite,
     Network,
     NetworkSpec,
@@ -22,7 +24,14 @@ from reludyn.net import (
     squared_loss,
 )
 
-from oracles import fd_gradients, max_rel_err, random_network, sample_kink_free_case
+from oracles import (
+    backward_reference,
+    fd_gradients,
+    forward_reference,
+    max_rel_err,
+    random_network,
+    sample_kink_free_case,
+)
 
 
 def hand_net():
@@ -39,7 +48,7 @@ def hand_net():
 # ---------------------------------------------------------------------------
 
 def test_forward_zero_input_all_gates_closed():
-    spec = NetworkSpec(layer_widths=(3, 4, 2), has_bias=(False, False))
+    spec = NetworkSpec(layer_widths=(3, 4, 2), bias=False)
     rng = np.random.default_rng(0)
     net = build_network(spec, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])
     trace = forward(net, np.zeros((5, 3)))
@@ -50,7 +59,7 @@ def test_forward_zero_input_all_gates_closed():
 
 
 def test_forward_identity_layer():
-    spec = NetworkSpec(layer_widths=(2, 2), has_bias=(False,))
+    spec = NetworkSpec(layer_widths=(2, 2), bias=False)
     net = build_network(spec, [np.eye(2)])
     trace = forward(net, np.array([[1.0, -2.0]]))
     assert np.allclose(trace.outputs, [[1.0, -2.0]])
@@ -123,6 +132,47 @@ def test_forward_deterministic():
         assert np.array_equal(a, b)
 
 
+def _same(a, b) -> bool:
+    # a channel constant over the batch makes bn_backward divide 0 by 0;
+    # the NaNs must then sit in the same places
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bn_mode=st.sampled_from(BN_MODES),
+       bias=st.booleans(),
+       widths=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       batch=st.integers(2, 40))
+def test_step_matches_reference_bit_for_bit(seed, bn_mode, bias, widths, batch):
+    # one hidden-layer path for both BN placements keeps every byte of the
+    # earlier one-branch-per-placement step
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, tuple(widths), bn_mode=bn_mode, bias=bias)
+    x = rng.normal(size=(batch, widths[0]))
+    target = rng.normal(size=(batch, widths[-1]))
+    trace, ref = forward(net, x), forward_reference(net, x)
+    for name in ("pre", "gate", "act", "out"):
+        ours, theirs = getattr(trace, name), getattr(ref, name)
+        assert len(ours) == len(theirs) == net.n_layers
+        assert all(map(np.array_equal, ours, theirs)), name
+    assert len(trace.bn) == len(ref.bn)
+    for site, ref_site in zip(trace.bn, ref.bn):
+        assert (site is None) == (ref_site is None)
+        if site is not None:
+            for name in ("f_in", "mu", "sigma", "f_tilde"):
+                assert np.array_equal(getattr(site, name), getattr(ref_site, name))
+            assert site.c0 is ref_site.c0
+    with np.errstate(invalid="ignore"):
+        grads = backward(net, trace, target)
+        ref_grads = backward_reference(net, ref, target)
+    for name in ("node", "weights", "biases", "bn_c0", "bn_c1"):
+        ours, theirs = getattr(grads, name), getattr(ref_grads, name)
+        assert len(ours) == len(theirs) == net.n_layers
+        assert all(map(_same, ours, theirs)), name
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -140,7 +190,7 @@ def test_backward_zero_residual():
 
 
 def test_backward_single_linear_layer():
-    spec = NetworkSpec(layer_widths=(2, 1), has_bias=(False,))
+    spec = NetworkSpec(layer_widths=(2, 1), bias=False)
     net = build_network(spec, [np.array([[0.0], [0.0]])])
     trace = forward(net, np.array([[1.0, 0.0]]))
     grads = backward(net, trace, np.array([[1.0]]))
@@ -325,12 +375,12 @@ def test_sgd_step_rejects_nonfinite():
 
 
 def test_filter_norms():
-    spec = NetworkSpec(layer_widths=(2, 2), has_bias=(True,))
+    spec = NetworkSpec(layer_widths=(2, 2), bias=True)
     net = build_network(spec, [np.array([[3.0, 1.0], [4.0, 0.0]])],
                         [np.array([9.0, 9.0])])
     norms = filter_norms(net)
     assert np.allclose(norms[0], [5.0, 1.0])  # bias plays no part
-    ident = build_network(NetworkSpec((3, 3), has_bias=(False,)), [np.eye(3)])
+    ident = build_network(NetworkSpec((3, 3), bias=False), [np.eye(3)])
     assert np.allclose(filter_norms(ident)[0], 1.0)
 
 
@@ -380,12 +430,13 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         NetworkSpec(layer_widths=(3, 4, 2), bn_mode="always")
     with pytest.raises(ConfigurationError):
-        NetworkSpec(
-            layer_widths=(3, 4, 2),
-            bn_mode="linear_relu_bn",
-            has_bias=(True, True),
+        # a hidden layer under BN has no bias, so none may be given
+        build_network(
+            NetworkSpec(layer_widths=(3, 4, 2), bn_mode="linear_relu_bn"),
+            [np.ones((3, 4)), np.ones((4, 2))],
+            biases=[np.zeros(4), np.zeros(2)],
         )
     with pytest.raises(NumericError):
         build_network(
-            NetworkSpec((2, 2), has_bias=(False,)), [np.array([[np.inf, 0], [0, 1]])]
+            NetworkSpec((2, 2), bias=False), [np.array([[np.inf, 0], [0, 1]])]
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reludyn.errors import ConfigurationError, PreconditionError
-from reludyn.net import forward
+from reludyn.net import BN_MODES, NetworkSpec, build_network, forward
 from reludyn.teachers import (
     GausStream,
     StudentInit,
@@ -149,6 +149,19 @@ def test_student_bn_drops_hidden_biases():
     assert s.biases[-1] is not None and np.all(s.biases[-1] == 0.0)
     assert s.bn_c0[0] is not None and np.all(s.bn_c0[0] == 1.0)
     assert s.bn_c1[0] is not None and np.all(s.bn_c1[0] == 0.0)
+
+
+@pytest.mark.parametrize("bn_mode", BN_MODES)
+def test_student_of_bias_free_teacher_has_no_biases(bn_mode):
+    rng = np.random.default_rng(6)
+    t = build_network(
+        NetworkSpec(layer_widths=(5, 8, 4, 2), bias=False),
+        [rng.normal(size=(5, 8)), rng.normal(size=(8, 4)), rng.normal(size=(4, 2))],
+    )
+    s = make_student(t, StudentInit(overparam_factor=2, seed=0), bn_mode=bn_mode)
+    assert s.spec.bn_mode == bn_mode
+    assert all(b is None for b in s.biases)
+    assert not any(s.spec.has_bias(li) for li in range(s.n_layers))
 
 
 def test_student_plain_keeps_zero_biases():
