@@ -234,16 +234,11 @@ class RunLog:
 
 
 def _numeric_keys(rows: list[dict], skip: set[str]) -> list[str]:
-    keys: list[str] = []
-    for row in rows:
-        for k, v in row.items():
-            if k in skip or k in keys:
-                continue
-            if isinstance(v, bool):
-                continue
-            if isinstance(v, (int, float)):
-                keys.append(k)
-    return keys
+    """Keys outside skip in order of their first int or float (not bool)."""
+    return list(dict.fromkeys(
+        k for row in rows for k, v in row.items() if k not in skip
+        and isinstance(v, (int, float)) and not isinstance(v, bool)
+    ))
 
 
 def _grouped(rows: list[dict], by: tuple[str, ...]):
@@ -294,15 +289,18 @@ def _derive_seed(*parts: int) -> int:
 # ------------------------------------------------------ training runners
 
 
-def _run_training(teacher: Network, student: Network, cfg: ExperimentConfig,
-                  unit: dict, epochs: int, stream_seed: int):
-    """SGD on teacher soft targets; per-epoch metric rows.
+def _run_training(teacher: Network, students: list[Network],
+                  cfg: ExperimentConfig, unit: dict, epochs: int,
+                  stream_seed: int) -> list[tuple]:
+    """SGD on teacher soft targets, students in lockstep; per-epoch rows.
 
-    The unit's stream section feeds the training batches; its seed fixes
-    the validation batch.  Epoch 0 is the untouched initialization.  A
-    loss above the divergence cutoff (or a numeric failure inside an
-    epoch) marks the run diverged and stops it; rows up to and including
-    that epoch are kept.
+    Each batch of the unit's stream is drawn and labelled once, then every
+    live student steps on it in list order, as a run of its own would; the
+    unit's seed fixes the validation batch.  Epoch 0 is the untouched
+    initialization.  A loss above the divergence cutoff (or a numeric
+    failure inside an epoch) marks a student diverged and drops it from
+    the run, keeping its rows up to that epoch.  Returns (rows, trained
+    net, final correlations, diverged) per student.
     """
     dim = teacher.spec.layer_widths[0]
     stream_cfg = unit["stream"]
@@ -317,53 +315,57 @@ def _run_training(teacher: Network, student: Network, cfg: ExperimentConfig,
     )
     val_t = forward(teacher, val_x)
     eta, batch_size, n_batches = cfg.eta, cfg.batch_size, cfg.batches_per_epoch
-    n_hidden = student.n_layers - 1
-    checkpoints: list[list] = [[] for _ in range(n_hidden)]
-    rows: list[dict] = []
-    diverged = False
+    nets = list(students)
+    rows: list[list[dict]] = [[] for _ in nets]
+    checkpoints = [[[] for _ in range(s.n_layers - 1)] for s in nets]
+    diverged = [False] * len(nets)
+    live = list(range(len(nets)))
     # overflow on the way to the divergence cutoff is an expected,
     # reported outcome, not a numeric bug worth a warning storm
-    for epoch in range(epochs + 1):
-        if epoch > 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            stepping = live if epoch > 0 else []
+            for _ in range(n_batches if stepping else 0):
+                x = next_batch(train_stream, batch_size)
+                labels = teacher_labels(teacher, x)
+                for i in stepping:
+                    try:
+                        grads = backward(nets[i], forward(nets[i], x), labels)
+                        nets[i] = sgd_step(nets[i], grads, eta)
+                    except (NumericError, DegenerateBatchError):
+                        diverged[i] = True
+                stepping = [i for i in stepping if not diverged[i]]
+                if not stepping:
+                    break
+            for i in live:
+                tr_s = forward(nets[i], val_x)
+                loss = float(squared_loss(tr_s.outputs, val_t.outputs))
+                if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                    diverged[i] = True
+                row = {"epoch": epoch, "loss": loss,
+                       "diverged": int(diverged[i])}
+                for h, cps in enumerate(checkpoints[i]):
+                    cm = rho_matrix(tr_s.act[h], val_t.act[h])
+                    cps.append(cm)
+                    row[f"rho_bar_l{h}"] = float(rho_bar(cm).value)
+                    vr = v_row_norms(nets[i], h)
+                    row[f"v_l{h}_min"] = float(vr.min())
+                    row[f"v_l{h}_max"] = float(vr.max())
+                    row[f"v_l{h}_mean"] = float(vr.mean())
+                rows[i].append(row)
+            live = [i for i in live if not diverged[i]]
+            if not live:
+                break
+    for student_rows, cps_by_layer in zip(rows, checkpoints):
+        for h, cps in enumerate(cps_by_layer):
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(n_batches):
-                        x = next_batch(train_stream, batch_size)
-                        tr = forward(student, x)
-                        grads = backward(
-                            student, tr, teacher_labels(teacher, x)
-                        )
-                        student = sgd_step(student, grads, eta)
-            except (NumericError, DegenerateBatchError):
-                diverged = True
-        with np.errstate(over="ignore", invalid="ignore"):
-            tr_s = forward(student, val_x)
-            loss = float(squared_loss(tr_s.outputs, val_t.outputs))
-            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                diverged = True
-            row = {"epoch": epoch, "loss": loss, "diverged": int(diverged)}
-            for h in range(n_hidden):
-                cm = rho_matrix(tr_s.act[h], val_t.act[h])
-                checkpoints[h].append(cm)
-                row[f"rho_bar_l{h}"] = float(rho_bar(cm).value)
-                vr = v_row_norms(student, h)
-                row[f"v_l{h}_min"] = float(vr.min())
-                row[f"v_l{h}_max"] = float(vr.max())
-                row[f"v_l{h}_mean"] = float(vr.mean())
-        rows.append(row)
-        if diverged:
-            break
-    for h in range(n_hidden):
-        if len(checkpoints[h]) < 2:
-            continue
-        try:
-            series = mean_rank(checkpoints[h])
-        except PreconditionError:
-            continue
-        for i in range(len(rows)):
-            rows[i][f"r_bar_l{h}"] = float(series[i])
-    finals = [cps[-1] for cps in checkpoints]
-    return rows, student, finals, diverged
+                series = mean_rank(cps)
+            except PreconditionError:
+                continue
+            for row, r in zip(student_rows, series):
+                row[f"r_bar_l{h}"] = float(r)
+    finals = [[cps[-1] for cps in by_layer] for by_layer in checkpoints]
+    return list(zip(rows, nets, finals, diverged))
 
 
 def _training_units(cfg: ExperimentConfig) -> list[dict]:
@@ -421,8 +423,8 @@ def _train_unit(payload: tuple) -> dict:
     cfg, unit = payload
     seed = unit["seed"]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
-    rows, trained, _, diverged = _run_training(
-        teacher, _student(teacher, unit, seed), cfg, unit,
+    [(rows, trained, _, diverged)] = _run_training(
+        teacher, [_student(teacher, unit, seed)], cfg, unit,
         cfg.epochs, seed + TRAIN_STREAM_OFF,
     )
     return {
@@ -441,12 +443,15 @@ def run_training(cfg: ExperimentConfig) -> RunLog:
     reports the sign split of each trained student's BN shifts.
     """
     units = _training_units(cfg)
+    t0 = time.perf_counter()
     results = _parallel_map(_train_unit, [(cfg, u) for u in units],
                             cfg.workers)
+    units_s = time.perf_counter() - t0
     rows = [r for res in results for r in res["rows"]]
     by = (*units[0]["tags"], "epoch")
     stats = "meanstd" if cfg.kind == "ablate_overparam" else "minmax"
-    log = RunLog(rows=rows, aggregates=_aggregate(rows, by, stats))
+    log = RunLog(rows=rows, aggregates=_aggregate(rows, by, stats),
+                 timings={"units": units_s})
     bias_rows, hist_rows = [], []
     for unit, res in zip(units, results):
         seed = unit["seed"]
@@ -520,9 +525,11 @@ def _lottery_unit(payload: tuple) -> dict:
     seed = unit["seed"]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
     student0 = _student(teacher, unit, seed)
-    base_rows, _, finals, _ = _run_training(
-        teacher, student0, cfg, unit, cfg.epochs, seed + TRAIN_STREAM_OFF,
+    t0 = time.perf_counter()
+    [(base_rows, _, finals, _)] = _run_training(
+        teacher, [student0], cfg, unit, cfg.epochs, seed + TRAIN_STREAM_OFF,
     )
+    t1 = time.perf_counter()
     keep, contested = [], []
     for cm in finals:
         win = _greedy_winners(cm.rho)
@@ -538,10 +545,10 @@ def _lottery_unit(payload: tuple) -> dict:
     retrain = cfg.lottery["retrain_epochs"] or cfg.epochs
     rows = [dict(seed=seed, arm="base", **r) for r in base_rows]
     summaries = []
-    for arm, net0 in arms:
-        a_rows, _, _, a_div = _run_training(
-            teacher, net0, cfg, unit, retrain, seed + RETRAIN_STREAM_OFF,
-        )
+    trained = _run_training(teacher, [net0 for _, net0 in arms], cfg, unit,
+                            retrain, seed + RETRAIN_STREAM_OFF)
+    timings = {"base": t1 - t0, "arms": time.perf_counter() - t1}
+    for (arm, _), (a_rows, _, _, a_div) in zip(arms, trained):
         rows.extend(dict(seed=seed, arm=arm, **r) for r in a_rows)
         summary = {
             "seed": seed, "arm": arm,
@@ -552,15 +559,16 @@ def _lottery_unit(payload: tuple) -> dict:
             summary[f"n_winners_l{h}"] = len(keep[h])
             summary[f"n_contested_l{h}"] = contested[h]
         summaries.append(summary)
-    return {"rows": rows, "arms": summaries}
+    return {"rows": rows, "arms": summaries, "timings": timings}
 
 
 def run_lottery(cfg: ExperimentConfig) -> RunLog:
     """Reset-and-prune study: winners-reset vs winners-reinit vs baseline.
 
     Winners are one distinct student node per teacher node, picked by
-    final correlation after a base training run; the same retrain stream
-    feeds all three arms so the comparison is paired.
+    final correlation after a base training run; the three arms retrain
+    in lockstep on one retrain stream, so the comparison is paired.  The
+    base and arms phases are timed, each summed over units.
     """
     payloads = [(cfg, u) for u in _training_units(cfg)]
     results = _parallel_map(_lottery_unit, payloads, cfg.workers)
@@ -569,6 +577,8 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     return RunLog(
         rows=rows, aggregates=_aggregate(rows, ("arm", "epoch"), "minmax"),
         tables={"arms": arms},
+        timings={k: sum(res["timings"][k] for res in results)
+                 for k in ("base", "arms")},
     )
 
 
@@ -957,17 +967,8 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _row_keys(rows: list[dict]) -> list[str]:
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    return keys
-
-
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    keys = _row_keys(rows)
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(keys)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .net import Network
+from .net import Network, centered_moments
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,10 @@ def rho_matrix(acts_s: np.ndarray, acts_t: np.ndarray) -> CorrelationMatrix:
         raise PreconditionError("correlation needs batch >= 2")
 
     def standardize(a):
-        std = a.std(axis=0)
+        _, z, var = centered_moments(a)
+        std = np.sqrt(var)
         alive = std > 0.0
-        z = (a - a.mean(axis=0)) / np.where(alive, std, 1.0)
+        z /= np.where(alive, std, 1.0)
         return z, alive
 
     z_s, ok_s = standardize(acts_s)

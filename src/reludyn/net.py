@@ -20,6 +20,13 @@ Conventions used throughout the package:
 * Gradients follow the negative convention: the stored quantities point in
   the direction that decreases the loss, and ``sgd_step`` *adds* them.
   At the top layer the per-sample node gradient is ``target - output``.
+
+Two shortcuts in the step are exact, not approximate.  numpy's mean and
+var are ``add.reduce(a, 0) / n`` over the columns and over the squared
+centered copy, so ``centered_moments`` has their bits, and BN whitens that
+copy.  In-place updates write only into arrays the step just allocated and
+compute what the out-of-place form would (IEEE sums and products commute);
+no array that ``forward``, ``backward`` or ``sgd_step`` returned is written.
 """
 
 from __future__ import annotations
@@ -82,26 +89,23 @@ class Network:
     bn_c1: tuple[np.ndarray | None, ...]
 
     def __post_init__(self):
-        spec = self.spec
-        n = spec.n_layers
+        spec, widths = self.spec, self.spec.layer_widths
         layers = (self.weights, self.biases, self.bn_c0, self.bn_c1)
-        if any(len(params) != n for params in layers):
+        if any(len(params) != spec.n_layers for params in layers):
             raise ConfigurationError("need one entry per layer for each parameter")
         for li, params in enumerate(zip(*layers)):
-            fan_in, width = spec.layer_widths[li], spec.layer_widths[li + 1]
-            bn = spec.has_bn(li)
+            bn, width = spec.has_bn(li), widths[li + 1 : li + 2]
             for name, v, wanted, shape in zip(
-                ("weights", "bias", "BN c0", "BN c1"),
-                params,
+                ("weights", "bias", "BN c0", "BN c1"), params,
                 (True, spec.has_bias(li), bn, bn),
-                ((fan_in, width), (width,), (width,), (width,)),
+                (widths[li : li + 2], width, width, width),
             ):
                 if not wanted:
                     if v is not None:
                         raise ConfigurationError(f"layer {li}: unexpected {name}")
                 elif v is None or v.shape != shape:
                     raise ConfigurationError(f"layer {li}: {name} is not {shape}")
-                elif not np.all(np.isfinite(v)):
+                elif not np.isfinite(v).all():
                     raise NumericError(f"layer {li}: non-finite {name}")
 
     @property
@@ -192,16 +196,20 @@ class GradientSet:
     bn_c1: list[np.ndarray | None]
 
 
+def centered_moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column batch mean, the centered copy a - mean, and the variance."""
+    mu = np.add.reduce(a, 0) / a.shape[0]
+    c = a - mu
+    return mu, c, np.add.reduce(c * c, 0) / a.shape[0]
+
+
 def _bn(f_in: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> tuple[BNSite, np.ndarray]:
     """Batch-normalize f_in per channel: the site record and c0 * f~ + c1."""
     if f_in.shape[0] < 2:
         raise PreconditionError("BN needs batch size >= 2")
-    mu = f_in.mean(axis=0)
-    var = f_in.var(axis=0)
-    sigma = np.sqrt(var + BN_EPS)
-    if np.any(sigma < SIGMA_FLOOR):
-        raise DegenerateBatchError("zero batch std at a BN site")
-    f_tilde = (f_in - mu) / sigma
+    mu, f_tilde, var = centered_moments(f_in)
+    sigma = np.sqrt(var + BN_EPS)  # var >= 0: never below SIGMA_FLOOR
+    f_tilde /= sigma
     return BNSite(f_in, mu, sigma, f_tilde, c0), c0 * f_tilde + c1
 
 
@@ -220,7 +228,7 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     for li in range(n_layers):
         pre = h @ net.weights[li]
         if net.biases[li] is not None:
-            pre = pre + net.biases[li]
+            pre += net.biases[li]
         site = None
         if li == n_layers - 1:
             gate = np.ones_like(pre)
@@ -259,15 +267,19 @@ def bn_backward(
     g = np.asarray(g_out, dtype=np.float64)
     if g.shape != site.f_in.shape:
         raise PreconditionError("g_out shape does not match the BN site")
-    g_c1 = g.sum(axis=0)
-    g_c0 = (g * site.f_tilde).sum(axis=0)
-    centered = g - g.mean(axis=0)
+    g_c1 = np.add.reduce(g, 0)
+    prod = g * site.f_tilde  # the one temporary of the three products
+    g_c0 = np.add.reduce(prod, 0)
+    centered = g - g_c1 / g.shape[0]
     # f_tilde has zero batch sum, so projecting out the ones direction and
-    # then the f_tilde direction is an orthogonal projection off span{f, 1}
-    ff = (site.f_tilde * site.f_tilde).sum(axis=0)
-    coef = (centered * site.f_tilde).sum(axis=0) / ff
-    g_in = (site.c0 / site.sigma) * (centered - site.f_tilde * coef)
-    return g_in, g_c0, g_c1
+    # then the f_tilde direction is an orthogonal projection off span{f, 1};
+    # a channel constant over the batch has f_tilde = 0 and nothing to project
+    ff = np.add.reduce(np.multiply(site.f_tilde, site.f_tilde, out=prod), 0)
+    dot = np.add.reduce(np.multiply(centered, site.f_tilde, out=prod), 0)
+    coef = np.divide(dot, ff, out=np.zeros_like(ff), where=ff != 0.0)
+    centered -= np.multiply(site.f_tilde, coef, out=prod)
+    centered *= site.c0 / site.sigma
+    return centered, g_c0, g_c1
 
 
 def backward(
@@ -295,17 +307,19 @@ def backward(
         hi = li - 1
         if mode == "linear_relu_bn":
             g, gc0[hi], gc1[hi] = bn_backward(g, trace.bn[hi])
-        g = trace.gate[hi] * g
+        g *= trace.gate[hi]
         if mode == "linear_bn_relu":
             g, gc0[hi], gc1[hi] = bn_backward(g, trace.bn[hi])
         node[hi] = g
     # bn_backward returns batch sums; the loss is a batch mean
     gc0 = [None if s is None else s / batch for s in gc0]
     gc1 = [None if s is None else s / batch for s in gc1]
-    gw = [trace.layer_input(li).T @ node[li] / batch for li in range(n_layers)]
+    gw = [trace.layer_input(li).T @ g for li, g in enumerate(node)]
+    for w in gw:
+        w /= batch
     gb = [
-        node[li].mean(axis=0) if net.spec.has_bias(li) else None
-        for li in range(n_layers)
+        np.add.reduce(g, 0) / batch if net.spec.has_bias(li) else None
+        for li, g in enumerate(node)
     ]
     return GradientSet(node=node, weights=gw, biases=gb, bn_c0=gc0, bn_c1=gc1)
 
@@ -322,7 +336,11 @@ def sgd_step(net: Network, grads: GradientSet, eta: float) -> Network:
     A non-finite gradient entry makes a non-finite parameter, which the
     Network constructor rejects with NumericError.
     """
-    step = lambda p, g: p if p is None or g is None else p + eta * g
+    def step(p, g):
+        if p is None or g is None:
+            return p
+        moved = eta * g
+        return np.add(moved, p, out=moved)
     return Network(
         spec=net.spec,
         weights=tuple(map(step, net.weights, grads.weights)),

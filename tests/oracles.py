@@ -8,7 +8,9 @@ loop, and a second, separately coded arithmetic path for the
 convergence-constant ledgers.  ``forward_reference`` and
 ``backward_reference`` keep the step's earlier form, one branch per BN
 placement, as the bit-exact reference for ``net.forward`` and
-``net.backward``.
+``net.backward``; their BN statistics, ``bn_backward_reference`` and
+``rho_matrix_reference`` make the separate numpy mean/var/std passes the
+one-pass code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from reludyn.net import (
     GradientSet,
     Network,
     NetworkSpec,
-    bn_backward,
     build_network,
     forward,
     squared_loss,
@@ -108,11 +109,35 @@ def sample_kink_free_case(
     raise RuntimeError("could not find a kink-free random case")
 
 
+def statistics_cases(seed: int = 2024, n_random: int = 24):
+    """Activation batches for the one-pass statistics checks: batch 2 to
+    3000 by width 1 to 250, plain, shifted and scaled, ReLU-sparse and
+    tiny-scaled, each with a dead (all-zero) and a constant column where
+    the width allows."""
+    rng = np.random.default_rng(seed)
+    shapes = [(2, 1), (2, 250), (3000, 1), (3000, 250), (3, 7)]
+    shapes += [(int(rng.integers(2, 3001)), int(rng.integers(1, 251)))
+               for _ in range(n_random)]
+    for i, (n, w) in enumerate(shapes):
+        a = rng.normal(size=(n, w))
+        if i % 4 == 1:
+            a = a * 1e3 + 50.0
+        elif i % 4 == 2:
+            a = np.maximum(a - 1.0, 0.0)
+        elif i % 4 == 3:
+            a = a * 1e-3 - 7.0
+        if w > 1:
+            a[:, int(rng.integers(w))] = 0.0
+        if w > 2:
+            a[:, int(rng.integers(w))] = 2.5
+        yield a
+
+
 # ---------------------------------------------------------------------------
 # the step with one branch per BN placement: bit-exact reference
 # ---------------------------------------------------------------------------
 
-def _bn_stats(f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bn_stats_reference(f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if f_in.shape[0] < 2:
         raise PreconditionError("BN needs batch size >= 2")
     mu = f_in.mean(axis=0)
@@ -121,6 +146,40 @@ def _bn_stats(f_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.any(sigma < SIGMA_FLOOR):
         raise DegenerateBatchError("zero batch std at a BN site")
     return mu, sigma, (f_in - mu) / sigma
+
+
+def bn_backward_reference(
+    g_out: np.ndarray, site: BNSite
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bn_backward with separate sum, mean and product passes; a channel
+    whose whitened activation is 0 on the whole batch has nothing to
+    project off (coef 0)."""
+    g = np.asarray(g_out, dtype=np.float64)
+    g_c1 = g.sum(axis=0)
+    g_c0 = (g * site.f_tilde).sum(axis=0)
+    centered = g - g.mean(axis=0)
+    ff = (site.f_tilde * site.f_tilde).sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        coef = (centered * site.f_tilde).sum(axis=0) / ff
+    coef = np.where(ff == 0.0, 0.0, coef)
+    g_in = (site.c0 / site.sigma) * (centered - site.f_tilde * coef)
+    return g_in, g_c0, g_c1
+
+
+def rho_matrix_reference(acts_s: np.ndarray, acts_t: np.ndarray):
+    """rho_matrix's (rho, valid_students, valid_teachers), standardizing
+    with np.std and a second np.mean pass."""
+    def standardize(a):
+        std = a.std(axis=0)
+        alive = std > 0.0
+        return (a - a.mean(axis=0)) / np.where(alive, std, 1.0), alive
+
+    z_s, ok_s = standardize(acts_s)
+    z_t, ok_t = standardize(acts_t)
+    rho = np.clip(z_s.T @ z_t / acts_s.shape[0], -1.0, 1.0)
+    rho[~ok_s, :] = 0.0
+    rho[:, ~ok_t] = 0.0
+    return rho, ok_s, ok_t
 
 
 def forward_reference(net: Network, batch: np.ndarray) -> ForwardTrace:
@@ -145,7 +204,7 @@ def forward_reference(net: Network, batch: np.ndarray) -> ForwardTrace:
             out = pre
             site = None
         elif mode == "linear_bn_relu":
-            mu, sigma, f_tilde = _bn_stats(pre)
+            mu, sigma, f_tilde = bn_stats_reference(pre)
             site = BNSite(pre, mu, sigma, f_tilde, net.bn_c0[li])
             y = net.bn_c0[li] * f_tilde + net.bn_c1[li]
             gate = (y > 0).astype(np.float64)
@@ -155,7 +214,7 @@ def forward_reference(net: Network, batch: np.ndarray) -> ForwardTrace:
             gate = (pre > 0).astype(np.float64)
             act = gate * pre
             if mode == "linear_relu_bn":
-                mu, sigma, f_tilde = _bn_stats(act)
+                mu, sigma, f_tilde = bn_stats_reference(act)
                 site = BNSite(act, mu, sigma, f_tilde, net.bn_c0[li])
                 out = net.bn_c0[li] * f_tilde + net.bn_c1[li]
             else:
@@ -196,13 +255,13 @@ def backward_reference(
         if mode == "none":
             node[hi] = trace.gate[hi] * g_up
         elif mode == "linear_relu_bn":
-            g_relu, s_c0, s_c1 = bn_backward(g_up, trace.bn[hi])
+            g_relu, s_c0, s_c1 = bn_backward_reference(g_up, trace.bn[hi])
             gc0[hi] = s_c0 / batch
             gc1[hi] = s_c1 / batch
             node[hi] = trace.gate[hi] * g_relu
         else:  # linear_bn_relu
             g_y = trace.gate[hi] * g_up
-            g_pre, s_c0, s_c1 = bn_backward(g_y, trace.bn[hi])
+            g_pre, s_c0, s_c1 = bn_backward_reference(g_y, trace.bn[hi])
             gc0[hi] = s_c0 / batch
             gc1[hi] = s_c1 / batch
             node[hi] = g_pre

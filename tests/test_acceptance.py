@@ -271,6 +271,7 @@ def test_06_single_layer_guaranteed_contraction():
 # 7. over-parameterized grid: spare rows die only when W starts aligned
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_07_overparam_grid_row_separation():
     t0 = time.perf_counter()
     cfg = make_config({
@@ -337,6 +338,7 @@ def _per_seed(log, seed, key):
     return [r[key] for r in log.rows if r["seed"] == seed]
 
 
+@pytest.mark.slow
 def test_08_correlation_growth_infinite_data(growth_runs):
     t0 = time.perf_counter()
     log = growth_runs["infinite"]
@@ -356,6 +358,7 @@ def test_08_correlation_growth_infinite_data(growth_runs):
             f">= 0.9 on 5 seeds, all layers grew, {dt:.0f} s incl shared runs")
 
 
+@pytest.mark.slow
 def test_09_finite_data_stall(growth_runs):
     t0 = time.perf_counter()
     gaps = []
@@ -393,6 +396,7 @@ def test_10_quadratic_falloff_exponent():
 # 11. lottery arms: resetting winners to their init beats re-randomizing
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_11_lottery_reset_beats_reinit():
     t0 = time.perf_counter()
     cfg = make_config({

@@ -22,7 +22,8 @@ from reludyn.experiments import (
     make_config,
     run_experiment,
 )
-from reludyn.net import backward, build_network, forward
+from reludyn.net import backward, build_network, forward, sgd_step
+from reludyn.teachers import TeacherSpec, make_teacher
 
 
 def tiny_train(**over):
@@ -414,6 +415,52 @@ def test_lottery_arms_and_winner_accounting():
     }
 
 
+def _scaled(net, factor):
+    return dataclasses.replace(
+        net, weights=tuple(w * factor for w in net.weights))
+
+
+@pytest.mark.parametrize("stream", [
+    {"std": 1.0},
+    {"std": 1.0, "mode": "finite", "n_samples": 40},
+])
+def test_lockstep_students_match_runs_of_their_own(stream):
+    """Students stepped in lockstep on one stream end exactly as each
+    would alone: rows with r_bar, final rho, diverged flag, parameters.
+    Scaled weights make students diverge at epoch 0 (x100), by a
+    numeric failure mid-epoch (x30) and at the loss cutoff (x10)."""
+    cfg = tiny_train(seeds=[0], epochs=3, batches_per_epoch=6, eta=0.05,
+                     stream=stream)
+    unit = experiments._training_units(cfg)[0]
+    teacher = make_teacher(TeacherSpec(**unit["teacher"]))
+    a, b = (experiments._student(teacher, unit, s) for s in (5, 6))
+    groups = ([a], [_scaled(a, 30.0), b], [a, _scaled(b, 10.0), b],
+              [_scaled(a, 100.0), b, _scaled(b, 30.0)])
+    seen = set()
+    for students in groups:
+        together = experiments._run_training(teacher, students, cfg, unit,
+                                             3, 11)
+        assert len(together) == len(students)
+        for net, joint in zip(students, together):
+            [alone] = experiments._run_training(teacher, [net], cfg, unit,
+                                                3, 11)
+            rows, trained, finals, diverged = joint
+            assert repr(rows) == repr(alone[0])
+            assert any("r_bar_l0" in r for r in rows) == (len(rows) > 1)
+            assert diverged == alone[3]
+            seen.add((diverged, len(rows)))
+            for cm, cm_alone in zip(finals, alone[2]):
+                assert cm.rho.tobytes() == cm_alone.rho.tobytes()
+            params = [p for group in (trained.weights, trained.biases)
+                      for p in group if p is not None]
+            params_alone = [p for group in (alone[1].weights, alone[1].biases)
+                            for p in group if p is not None]
+            assert [p.tobytes() for p in params] == [
+                p.tobytes() for p in params_alone]
+    # every divergence path above was taken
+    assert {(False, 4), (True, 1), (True, 2)} <= seen
+
+
 # --------------------------------------------------------------- bn audit
 
 
@@ -458,7 +505,9 @@ def test_backward_calls_keep_the_bn_step_contract(monkeypatch):
     It wraps backward, keeps the first call's (network, trace, target)
     and result, lets the run finish, then reads trace.bn[i].f_in,
     trace.x, grads.node and grads.weights and evaluates
-    dataclasses.replace(network, weights=...) with forward.
+    dataclasses.replace(network, weights=...) with forward.  Checked in
+    every bn_mode; sgd_step must also leave the gradients it reads as
+    they were.
     """
     captured = []
 
@@ -471,37 +520,51 @@ def test_backward_calls_keep_the_bn_step_contract(monkeypatch):
             captured.append((args, grads, frozen, np.array(target)))
         return grads
 
+    def step_reading_only(network, grads, eta):
+        before = [np.array(a) for a in _step_arrays(network, None, grads)]
+        moved = sgd_step(network, grads, eta)
+        after = _step_arrays(network, None, grads)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        return moved
+
     monkeypatch.setattr(experiments, "backward", capture)
-    run_experiment(tiny_train(
-        seeds=[0], student={"overparam_factor": 2, "bn_mode": "linear_bn_relu"},
-    ))
-    (network, trace, target), grads, frozen, target0 = captured[0]
-    # no captured array moved while the run went on
-    after = _step_arrays(network, trace, grads)
-    assert len(after) == len(frozen)
-    for a, b in zip(after, frozen):
-        assert np.array_equal(a, b)
-    assert np.array_equal(target, target0)
-    assert len(grads.node) == len(grads.weights) == network.n_layers
-    sites = [site for site in trace.bn if site is not None]
-    assert len(sites) == network.n_layers - 1
-    for hi, site in enumerate(trace.bn[:-1]):
-        assert site.f_in.shape == grads.node[hi].shape
-    ws = list(network.weights)
-    ws[0] = ws[0] * 1.5
-    moved = dataclasses.replace(network, weights=tuple(ws))
-    rebuilt = build_network(network.spec, ws, list(network.biases),
-                            list(network.bn_c0), list(network.bn_c1))
-    out = forward(moved, trace.x).outputs
-    assert np.array_equal(out, forward(rebuilt, trace.x).outputs)
-    assert not np.array_equal(out, forward(network, trace.x).outputs)
+    monkeypatch.setattr(experiments, "sgd_step", step_reading_only)
+    for bn_mode in ("none", "linear_relu_bn", "linear_bn_relu"):
+        captured.clear()
+        run_experiment(tiny_train(
+            seeds=[0], student={"overparam_factor": 2, "bn_mode": bn_mode},
+        ))
+        (network, trace, target), grads, frozen, target0 = captured[0]
+        # no captured array moved while the run went on
+        after = _step_arrays(network, trace, grads)
+        assert len(after) == len(frozen)
+        for a, b in zip(after, frozen):
+            assert np.array_equal(a, b)
+        assert np.array_equal(target, target0)
+        assert len(grads.node) == len(grads.weights) == network.n_layers
+        sites = [site for site in trace.bn if site is not None]
+        assert len(sites) == (0 if bn_mode == "none" else network.n_layers - 1)
+        for hi, site in enumerate(trace.bn[:-1]):
+            if site is not None:
+                assert site.f_in.shape == grads.node[hi].shape
+        ws = list(network.weights)
+        ws[0] = ws[0] * 1.5
+        moved = dataclasses.replace(network, weights=tuple(ws))
+        rebuilt = build_network(network.spec, ws, list(network.biases),
+                                list(network.bn_c0), list(network.bn_c1))
+        out = forward(moved, trace.x).outputs
+        assert np.array_equal(out, forward(rebuilt, trace.x).outputs)
+        assert not np.array_equal(out, forward(network, trace.x).outputs)
 
 
 def _step_arrays(network, trace, grads) -> list:
     params = [*network.weights, *network.biases, *network.bn_c0, *network.bn_c1]
-    sites = [a for site in trace.bn if site is not None
-             for a in (site.f_in, site.mu, site.sigma, site.f_tilde, site.c0)]
-    traced = [trace.x, *trace.pre, *trace.gate, *trace.act, *trace.out]
+    sites, traced = [], []
+    if trace is not None:
+        sites = [a for site in trace.bn if site is not None
+                 for a in (site.f_in, site.mu, site.sigma, site.f_tilde,
+                           site.c0)]
+        traced = [trace.x, *trace.pre, *trace.gate, *trace.act, *trace.out]
     grad = [*grads.node, *grads.weights, *grads.biases, *grads.bn_c0,
             *grads.bn_c1]
     return [a for a in params + sites + traced + grad if a is not None]
@@ -707,9 +770,32 @@ def test_grid_meta_records_phase_timings_outside_summary(tmp_path):
     assert all(v >= 0.0 and v == round(v, 3) for v in timings.values())
     assert meta == json.loads((untimed / "meta.json").read_text())
     # runners that record no phases keep meta.json as it was
-    emit_reports(run_experiment(tiny_train(epochs=0)), tmp_path / "train")
+    verify = make_config({"kind": "verify_identity", "seeds": [0],
+                          "verify": {"n_trials": 2}})
+    emit_reports(run_experiment(verify), tmp_path / "verify")
     assert "timings_s" not in json.loads(
-        (tmp_path / "train" / "meta.json").read_text())
+        (tmp_path / "verify" / "meta.json").read_text())
+
+
+@pytest.mark.parametrize("cfg, phases", [
+    (tiny_train(), {"units"}),
+    (lottery_config(2), {"base", "arms"}),
+])
+def test_training_meta_records_phase_timings_outside_summary(
+        tmp_path, cfg, phases):
+    log = run_experiment(cfg)
+    assert set(log.timings) == phases
+    # one worker: the per-unit phase sums fit inside the run
+    assert all(v >= 0.0 for v in log.timings.values())
+    assert sum(log.timings.values()) <= log.wall_clock
+    emit_reports(log, tmp_path / "timed")
+    emit_reports(dataclasses.replace(log, timings={}), tmp_path / "untimed")
+    for name in ("summary.csv", "aggregate.csv"):
+        assert ((tmp_path / "timed" / name).read_bytes()
+                == (tmp_path / "untimed" / name).read_bytes())
+    meta = json.loads((tmp_path / "timed" / "meta.json").read_text())
+    assert set(meta.pop("timings_s")) == phases
+    assert meta == json.loads((tmp_path / "untimed" / "meta.json").read_text())
 
 
 def test_emit_handles_nonfinite_ledger_values(tmp_path):

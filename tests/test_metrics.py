@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_network
+from oracles import random_network, rho_matrix_reference, statistics_cases
 from reludyn.errors import PreconditionError
 from reludyn.metrics import (
     bn_bias_audit,
@@ -30,6 +30,19 @@ def cm_from(rho, valid_s=None, valid_t=None):
 
 
 # --------------------------------------------------------------------- rho
+
+
+def test_rho_one_pass_standardization_matches_two_pass_reference():
+    rng = np.random.default_rng(14)
+    for a in statistics_cases(seed=7, n_random=12):
+        # teacher columns on the same batch: a sparse and a dense block
+        t = np.concatenate([np.maximum(a[:, :3], 0.0),
+                            rng.normal(size=(a.shape[0], 4))], axis=1)
+        cm = rho_matrix(a, t)
+        rho, ok_s, ok_t = rho_matrix_reference(a, t)
+        assert cm.rho.tobytes() == rho.tobytes()
+        assert np.array_equal(cm.valid_students, ok_s)
+        assert np.array_equal(cm.valid_teachers, ok_t)
 
 
 def test_rho_perfect_and_anti_correlation():

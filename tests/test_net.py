@@ -15,9 +15,11 @@ from reludyn.net import (
     BNSite,
     Network,
     NetworkSpec,
+    _bn,
     backward,
     bn_backward,
     build_network,
+    centered_moments,
     filter_norms,
     forward,
     sgd_step,
@@ -26,11 +28,14 @@ from reludyn.net import (
 
 from oracles import (
     backward_reference,
+    bn_backward_reference,
+    bn_stats_reference,
     fd_gradients,
     forward_reference,
     max_rel_err,
     random_network,
     sample_kink_free_case,
+    statistics_cases,
 )
 
 
@@ -133,11 +138,11 @@ def test_forward_deterministic():
 
 
 def _same(a, b) -> bool:
-    # a channel constant over the batch makes bn_backward divide 0 by 0;
-    # the NaNs must then sit in the same places
+    # a channel constant over the batch has nothing to project off, so no
+    # NaN may appear in either step
     if a is None or b is None:
         return a is None and b is None
-    return np.array_equal(a, b, equal_nan=True)
+    return np.array_equal(a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,6 +320,51 @@ def test_bn_backward_param_grads_are_batch_sums():
     _, g_c0, g_c1 = bn_backward(g_out, site)
     assert np.allclose(g_c1, g_out.sum(axis=0))
     assert np.allclose(g_c0, (g_out * site.f_tilde).sum(axis=0))
+
+
+def test_one_pass_bn_statistics_match_two_pass_reference():
+    rng = np.random.default_rng(12)
+    for a in statistics_cases():
+        width = a.shape[1]
+        mu, centered, var = centered_moments(a)
+        assert mu.tobytes() == a.mean(axis=0).tobytes()
+        assert centered.tobytes() == (a - a.mean(axis=0)).tobytes()
+        assert var.tobytes() == a.var(axis=0).tobytes()
+        assert np.sqrt(var).tobytes() == a.std(axis=0).tobytes()
+        c0, c1 = rng.uniform(0.5, 2.0, width), rng.normal(size=width)
+        site, out = _bn(a, c0, c1)
+        ref_mu, ref_sigma, ref_f_tilde = bn_stats_reference(a)
+        assert site.mu.tobytes() == ref_mu.tobytes()
+        assert site.sigma.tobytes() == ref_sigma.tobytes()
+        assert site.f_tilde.tobytes() == ref_f_tilde.tobytes()
+        assert out.tobytes() == (c0 * ref_f_tilde + c1).tobytes()
+        g_out = rng.normal(size=a.shape)
+        for ours, theirs in zip(bn_backward(g_out, site),
+                                bn_backward_reference(g_out, site)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def test_bn_backward_constant_channel_takes_a_finite_step():
+    # unit 1 = (-1, -1) is dead on non-negative inputs: its ReLU output is
+    # 0 on the whole batch, so the BN site sees a constant channel
+    spec = NetworkSpec(layer_widths=(2, 3, 1), bn_mode="linear_relu_bn")
+    w0 = np.array([[0.7, -1.0, 0.4], [0.2, -1.0, -0.3]])
+    net = build_network(spec, [w0, np.array([[0.5], [-0.8], [1.1]])])
+    rng = np.random.default_rng(13)
+    x = np.abs(rng.normal(size=(8, 2)))
+    trace = forward(net, x)
+    assert np.all(trace.act[0][:, 1] == 0.0)
+    grads = backward(net, trace, rng.normal(size=(8, 1)))
+    for g in grads.node + grads.weights:
+        assert np.all(np.isfinite(g))
+    # nothing to project off: the channel's gradient is (c0 / sigma) * centered
+    site = trace.bn[0]
+    g_up = grads.node[1] @ net.weights[1].T
+    g_in, _, _ = bn_backward(g_up, site)
+    centered = g_up[:, 1] - g_up.mean(axis=0)[1]
+    assert np.array_equal(g_in[:, 1], (site.c0[1] / site.sigma[1]) * centered)
+    stepped = sgd_step(net, grads, 0.1)
+    assert all(np.all(np.isfinite(w)) for w in stepped.weights)
 
 
 def test_bn_backward_degenerate_sigma():
