@@ -111,15 +111,6 @@ def compute_beta(student: Network, teacher: Network,
     batch = trace_s.batch_size
     c = student.spec.layer_widths[-1]
 
-    w_t_aug = [
-        _augmented_weight(teacher.weights[li], teacher.biases[li])
-        for li in range(n_layers)
-    ]
-    w_s_aug = [
-        _augmented_weight(student.weights[li], student.biases[li])
-        for li in range(n_layers)
-    ]
-
     eye_aug = np.zeros((c, c + 1))
     eye_aug[:, :c] = np.eye(c)
     star = [np.empty(0)] * n_layers
@@ -130,11 +121,13 @@ def compute_beta(student: Network, teacher: Network,
         gs = trace_s.gate[li]
         star[li - 1] = _descend(
             star[li], student.weights[li], gs,
-            w_t_aug[li], _augmented_gates(trace_t.gate[li]),
+            _augmented_weight(teacher.weights[li], teacher.biases[li]),
+            _augmented_gates(trace_t.gate[li]),
         )
         self_[li - 1] = _descend(
             self_[li], student.weights[li], gs,
-            w_s_aug[li], _augmented_gates(trace_s.gate[li]),
+            _augmented_weight(student.weights[li], student.biases[li]),
+            _augmented_gates(trace_s.gate[li]),
         )
     return BetaTensors(
         beta_star=tuple(a[:, :, :-1] for a in star),

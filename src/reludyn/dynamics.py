@@ -561,19 +561,7 @@ def two_layer_constants(k_d: float, k_l: float, theta_0: float, eps_d: float,
     elif not binding:
         binding = "no-convergence"
     return ConstantLedger(
-        k_d=k_d, k_l=k_l, theta_0=theta_0, eps_d=eps_d, eps_l=eps_l,
-        b_v=b_v, b_dv=b_dv, m=m, n=n, c0_hat=c0_hat, eta=eta,
-        d_diag_min=d_diag_min, l_diag_min=l_diag_min,
-        c_du=vals["c_du"], c_dr=c_dr, c_lu=vals["c_lu"], c_lr=c_lr,
-        m_duu=vals["m_duu"], m_dur=vals["m_dur"],
-        m_dru=vals["m_dru"], m_drr=vals["m_drr"],
-        m_luu=vals["m_luu"], m_lur=vals["m_lur"],
-        m_lru=vals["m_lru"], m_lrr=vals["m_lrr"],
-        b_du=vals["b_du"], b_dr=vals["b_dr"],
-        b_lu=vals["b_lu"], b_lr=vals["b_lr"],
-        d_bar=vals["d_bar"], l_bar=vals["l_bar"],
-        lambda_bar=vals["lambda_bar"], kappa=vals["kappa"],
-        gamma_w=vals["gamma_w"], gamma_v=vals["gamma_v"], gamma=gamma,
+        **p, **vals, gamma=gamma,
         rate_w=1.0 - eta * vals["d_bar"] * gamma,
         rate_v=1.0 - eta * vals["l_bar"] * gamma,
         feasible=feasible, binding=binding, iterations=it, converged=converged,

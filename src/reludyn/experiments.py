@@ -74,6 +74,9 @@ RETRAIN_STREAM_OFF = 40_000
 
 VAL_BATCH = 2048
 DIVERGENCE_LOSS = 1e6
+# A grid unit whose recorded fan-out row norm exceeds this has diverged:
+# the teacher's fan-out rows have norm at most sqrt(outputs).
+DIVERGENCE_NORM = 1e6
 
 _KIND_OVERRIDES: dict = {
     "bn_audit": {"student": {"bn_mode": "linear_relu_bn"}},
@@ -749,58 +752,51 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     return ledger, inputs
 
 
-def _cell_state(payload: dict, seed: int):
-    """The cell's initial pair for one seed, built from the grid config."""
+def _grid_unit(payload: dict) -> dict:
+    """One (cell, seed) trajectory, its rows not yet tagged with the cell.
+
+    The cell's first seed also measures the cell's ledger on the initial
+    pair it runs, records per-filter detail and, when that ledger is
+    feasible in guaranteed mode, the monitor rows.  A failed step, or a
+    recorded fan-out row norm above DIVERGENCE_NORM or non-finite, marks
+    the unit diverged and stops it.
+    """
     g = payload["grid"]
+    seed, cell_index = payload["seed"], payload["cell_index"]
     w_star, v_star = reduced_teacher(
         np.random.default_rng(g["teacher_seed"]), g["dim"],
         g["teacher_width"], g["outputs"],
     )
-    return mixed_two_layer_init(
-        np.random.default_rng(_derive_seed(1, payload["cell_index"], seed)),
+    state = mixed_two_layer_init(
+        np.random.default_rng(_derive_seed(1, cell_index, seed)),
         w_star, v_star, payload["overparam"] * g["teacher_width"],
         payload["p_w"], payload["p_v"], g["eta"], tau=g["tau"],
     )
-
-
-def _ledger_unit(payload: dict) -> tuple:
-    """The cell's ledger, measured on its first seed's initial pair."""
-    key = _cell_key(payload["overparam"], payload["p_w"], payload["p_v"])
-    return _measure_cell_ledger(
-        _cell_state(payload, payload["seed"]), payload["grid"],
-        payload["cell_index"], key, payload["c0_hat"],
-    )
-
-
-def _grid_unit(payload: dict) -> dict:
-    """One (cell, seed) trajectory.  The cell's first seed also records
-    per-filter detail and, in a guaranteed cell, the monitor rows."""
-    g = payload["grid"]
-    seed, cell_index = payload["seed"], payload["cell_index"]
-    state = _cell_state(payload, seed)
+    t0 = time.perf_counter()
+    detailed, measured, monitor_x = payload["detail"], None, None
+    if detailed:
+        measured = _measure_cell_ledger(state, g, cell_index, payload["key"],
+                                        payload["c0_hat"])
+        ledger = measured[0]
+        if payload["mode"] == "guaranteed" and ledger.feasible:
+            monitor_x = next_batch(
+                GausStream(dim=g["dim"], std=1.0,
+                           seed=_derive_seed(3, cell_index, seed)),
+                g["n_mc"],
+            )
+    t1 = time.perf_counter()
     stream = GausStream(dim=g["dim"], std=1.0,
                         seed=_derive_seed(2, cell_index, seed))
-    ledger, detailed = payload["ledger"], payload["detail"]
-    monitor_x = None
-    if detailed and payload["cell_mode"] == "guaranteed":
-        monitor_x = next_batch(
-            GausStream(dim=g["dim"], std=1.0,
-                       seed=_derive_seed(3, cell_index, seed)),
-            g["n_mc"],
-        )
     m = state.u_count
-    tags = {
-        "overparam": payload["overparam"], "p_w": payload["p_w"],
-        "p_v": payload["p_v"],
-        "guaranteed": int(payload["cell_mode"] == "guaranteed"),
-    }
     rows, monitors, detail = [], [], []
 
-    def record(it: int, diverged: int) -> None:
+    def record(it: int, diverged: int) -> bool:
+        """Append the state's row; True when the unit has diverged."""
         thetas = state.thetas
         norms = np.linalg.norm(state.v, axis=1)
+        diverged = int(diverged or not norms.max() <= DIVERGENCE_NORM)
         u, r = norms[:m], norms[m:]
-        row = dict(tags, seed=seed, iteration=it, diverged=diverged)
+        row = dict(seed=seed, iteration=it, diverged=diverged)
         row["u_min"] = float(u.min())
         row["u_max"] = float(u.max())
         row["u_mean"] = float(u.mean())
@@ -815,45 +811,55 @@ def _grid_unit(payload: dict) -> dict:
                          for j, v in enumerate(np.sin(thetas)))
             entry.update((f"v_{j}", float(v)) for j, v in enumerate(norms))
             detail.append(entry)
+        return bool(diverged)
 
-    record(0, 0)
     # as in _run_training: overflow on the way to a diverged step is an
     # expected, recorded outcome
     with np.errstate(over="ignore", invalid="ignore"):
+        record(0, 0)
         for it in range(1, g["iterations"] + 1):
             x = next_batch(stream, g["n_mc"])
             try:
                 state = step_two_layer(state, two_layer_moments(state, x))
             except NumericError:
-                record(it - 1, 1)
+                # the last good state's row says so, recorded if need be
+                if rows[-1]["iteration"] == it - 1:
+                    rows[-1]["diverged"] = 1
+                else:
+                    record(it - 1, 1)
                 break
-            if it % g["record_every"] == 0 or it == g["iterations"]:
-                record(it, 0)
+            if ((it % g["record_every"] == 0 or it == g["iterations"])
+                    and record(it, 0)):
+                break
             if monitor_x is not None and it % g["monitor_every"] == 0:
-                entry = monitor_hypotheses(state, ledger, it + 1, monitor_x)
-                mrow = dict(tags, seed=seed, t=entry.t)
-                for key in ("w_separation_ok", "wu_contraction_ok",
-                            "v_contraction_ok", "wr_bound_ok"):
-                    mrow[key] = int(getattr(entry, key))
-                slacks = {key: float(getattr(entry, key)) for key in (
-                    "slack_w_separation", "slack_wu", "slack_v", "slack_wr")}
-                mrow.update(slacks)
-                monitors.append(mrow)
+                entry = asdict(monitor_hypotheses(state, ledger, it + 1,
+                                                  monitor_x))
+                monitors.append(dict(seed=seed, **entry))
                 if detail[-1]["t"] == it:
-                    detail[-1].update(slacks, gamma=ledger.gamma,
-                                      rate_w=ledger.rate_w)
-    return {"rows": rows, "monitors": monitors, "detail": detail}
+                    detail[-1].update(
+                        {k: v for k, v in entry.items()
+                         if k.startswith("slack_")},
+                        gamma=ledger.gamma, rate_w=ledger.rate_w,
+                    )
+    return {"rows": rows, "monitors": monitors, "detail": detail,
+            "ledger": measured,
+            "timings": {"ledgers": t1 - t0,
+                        "units": time.perf_counter() - t1}}
 
 
 def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     """Reduced two-layer trajectories over (overparam) x (init proximity).
 
-    Each cell gets a measured constant ledger; in guaranteed mode an
-    infeasible ledger downgrades the cell to free-run (trajectories still
-    run, the marking lands in the ledger block and the row tags).
+    One worker pool runs every (cell, seed) unit.  Each cell's first-seed
+    unit measures the cell's constant ledger on the initial pair it runs;
+    in guaranteed mode a feasible ledger has that unit monitor the
+    hypotheses, and an infeasible one downgrades the cell to free-run
+    (trajectories still run, the marking lands in the ledger block and
+    the row tags).  Each cell's tags, ledger block, detail table and
+    assumption entry are then assembled once from its units.
     Per-iteration mean and std across seeds mirror the row-norm panels.
-    The c0 probe, the per-cell ledgers and the trajectory units are
-    timed as phases.
+    The c0 probe is timed as a phase; the ledgers and the trajectories
+    are timed in each unit and summed over units.
     """
     g = cfg.grid
     t0 = time.perf_counter()
@@ -866,7 +872,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
         GausStream(dim=g["dim"], std=1.0, seed=_derive_seed(4)),
         g["probe_n"], n_directions=4, seed=0, tau=g["tau"],
     )
-    t1 = time.perf_counter()
+    c0_s = time.perf_counter() - t0
     cells = [
         {"key": _cell_key(o, p_w, p_v), "cell_index": ci,
          "overparam": o, "p_w": p_w, "p_v": p_v}
@@ -874,43 +880,32 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
             itertools.product(g["overparams"], g["cells"])
         )
     ]
-    measured = _parallel_map(_ledger_unit, [
-        dict(cell, grid=g, seed=cfg.seeds[0], c0_hat=c0_probe.c0_hat)
-        for cell in cells
-    ], cfg.workers)
-    ledgers: dict = {}
-    for cell, (ledger, inputs) in zip(cells, measured):
-        guaranteed = cfg.mode == "guaranteed" and ledger.feasible
-        cell["cell_mode"] = "guaranteed" if guaranteed else "free-run"
-        cell["ledger"] = ledger
-        ledgers[cell["key"]] = {
-            "inputs": inputs,
-            "ledger": asdict(ledger),
-            "cell_mode": cell["cell_mode"],
-        }
-    t2 = time.perf_counter()
-    payloads = [
-        dict(cell, grid=g, seed=seed, detail=seed == cfg.seeds[0])
+    results = _parallel_map(_grid_unit, [
+        dict(cell, grid=g, seed=seed, detail=seed == cfg.seeds[0],
+             mode=cfg.mode, c0_hat=c0_probe.c0_hat)
         for cell in cells for seed in cfg.seeds
-    ]
-    results = _parallel_map(_grid_unit, payloads, cfg.workers)
-    t3 = time.perf_counter()
-    rows = [r for res in results for r in res["rows"]]
-    monitors = [mrow for res in results for mrow in res["monitors"]]
-    tables = {"monitors": monitors} if monitors else {}
-    cell_monitors: dict[str, list] = {}
-    for payload, res in zip(payloads, results):
-        cell_monitors.setdefault(payload["key"], []).extend(res["monitors"])
-        if payload["detail"]:
-            tables[f"detail_{payload['key']}"] = res["detail"]
-    assumptions = []
-    for key, entry in ledgers.items():
-        checked = cell_monitors[key]
+    ], cfg.workers)
+    rows, monitors, tables, ledgers, assumptions = [], [], {}, {}, []
+    for ci, cell in enumerate(cells):
+        units = results[ci * len(cfg.seeds):(ci + 1) * len(cfg.seeds)]
+        ledger, inputs = units[0]["ledger"]
+        guaranteed = cfg.mode == "guaranteed" and ledger.feasible
+        cell_mode = "guaranteed" if guaranteed else "free-run"
+        tags = {"overparam": cell["overparam"], "p_w": cell["p_w"],
+                "p_v": cell["p_v"], "guaranteed": int(guaranteed)}
+        rows.extend(dict(tags, **r) for unit in units for r in unit["rows"])
+        checked = [dict(tags, **mrow)
+                   for unit in units for mrow in unit["monitors"]]
+        monitors.extend(checked)
+        tables[f"detail_{cell['key']}"] = units[0]["detail"]
+        ledgers[cell["key"]] = {
+            "inputs": inputs, "ledger": asdict(ledger), "cell_mode": cell_mode,
+        }
         assumptions.append({
-            "cell": key,
-            "cell_mode": entry["cell_mode"],
-            "feasible": entry["ledger"]["feasible"],
-            "binding": entry["ledger"]["binding"],
+            "cell": cell["key"],
+            "cell_mode": cell_mode,
+            "feasible": ledger.feasible,
+            "binding": ledger.binding,
             "checked": len(checked),
             "violations": sum(
                 1 for mrow in checked
@@ -918,13 +913,18 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
                         and mrow["v_contraction_ok"] and mrow["wr_bound_ok"])
             ),
         })
+    if monitors:
+        tables["monitors"] = monitors
     return RunLog(
         rows=rows,
         aggregates=_aggregate(
             rows, ("overparam", "p_w", "p_v", "iteration"), "meanstd",
         ),
         tables=tables, ledgers=ledgers, assumptions=assumptions,
-        timings={"c0_probe": t1 - t0, "ledgers": t2 - t1, "units": t3 - t2},
+        timings={"c0_probe": c0_s, **{
+            k: sum(res["timings"][k] for res in results)
+            for k in ("ledgers", "units")
+        }},
     )
 
 

@@ -12,8 +12,9 @@ from reludyn import experiments
 from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
 from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
+    DIVERGENCE_NORM,
     RunLog,
-    _ledger_unit,
+    _grid_unit,
     _measure_cell_ledger,
     _parallel_map,
     _validator,
@@ -296,9 +297,9 @@ def test_parallel_matches_serial(kind):
         assert serial.tables["monitors"]
 
 
-def test_parallel_map_caps_the_pool(monkeypatch):
-    """The pool starts one process per payload and per CPU at most; a
-    stand-in pool records its size and maps in this process."""
+def recording_pool(monkeypatch) -> list[int]:
+    """Swap the worker pool for a stand-in that records the size of each
+    pool opened and maps in this process; returns the list of sizes."""
     sizes = []
 
     class RecordingPool:
@@ -316,6 +317,12 @@ def test_parallel_map_caps_the_pool(monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    return sizes
+
+
+def test_parallel_map_caps_the_pool(monkeypatch):
+    """The pool starts one process per payload and per CPU at most."""
+    sizes = recording_pool(monkeypatch)
     assert _parallel_map(abs, [-1, -2, -3], 64) == [1, 2, 3]
     assert _parallel_map(abs, list(range(-20, 0)), 64) == list(range(20, 0, -1))
     assert _parallel_map(abs, list(range(-20, 0)), 4) == list(range(20, 0, -1))
@@ -682,14 +689,15 @@ def test_cell_ledger_rejects_silent_target_naming_the_cell():
                                  8, 10.0, 10.0, 0.05, tau=50.0)
     with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
         _measure_cell_ledger(state, grid, 0, "x2_pw10_pv10", 1.0)
-    # the same error crosses the worker pool of the grid's ledger phase
+    # the same error crosses the worker pool from a cell's first-seed unit
     payloads = [
-        {"grid": grid, "cell_index": ci, "seed": 0, "overparam": 2,
-         "p_w": 10.0, "p_v": 10.0, "c0_hat": 1.0}
+        {"grid": grid, "cell_index": ci, "key": "x2_pw10_pv10", "seed": 0,
+         "overparam": 2, "p_w": 10.0, "p_v": 10.0, "detail": True,
+         "mode": "free-run", "c0_hat": 1.0}
         for ci in range(2)
     ]
     with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
-        _parallel_map(_ledger_unit, payloads, 2)
+        _parallel_map(_grid_unit, payloads, 2)
 
 
 def test_grid_reruns_are_identical():
@@ -700,13 +708,49 @@ def test_grid_reruns_are_identical():
 
 
 def test_grid_parallel_matches_serial():
-    # two cells, so the ledger phase runs in the pool too
-    cells = {"cells": [[10.0, 10.0], [0.0, 0.0]]}
-    serial = run_experiment(tiny_grid(workers=1, grid=cells))
-    pooled = run_experiment(tiny_grid(workers=2, grid=cells))
-    assert serial.rows == pooled.rows
-    assert serial.ledgers == pooled.ledgers
-    assert serial.assumptions == pooled.assumptions
+    # two cells, so the first-seed units measure ledgers in the pool too
+    cells = [[10.0, 10.0], [0.0, 0.0]]
+    cases = [
+        ({"grid": {"cells": cells}}, False),
+        # guaranteed cells whose first seed repeats: both of its units
+        # measure the ledger and record monitors
+        ({"seeds": [3, 3, 4], "mode": "guaranteed",
+          "grid": {"teacher_width": 1, "overparams": [1, 2], "cells": cells,
+                   "tau": 2.0, "iterations": 20, "monitor_every": 5}}, True),
+    ]
+    for over, monitored in cases:
+        serial = run_experiment(tiny_grid(workers=1, **over))
+        pooled = run_experiment(tiny_grid(workers=2, **over))
+        assert serial.rows == pooled.rows
+        assert serial.ledgers == pooled.ledgers
+        assert serial.assumptions == pooled.assumptions
+        assert serial.tables == pooled.tables
+        assert ("monitors" in serial.tables) == monitored
+
+
+def test_grid_opens_one_pool(monkeypatch):
+    sizes = recording_pool(monkeypatch)
+    log = run_experiment(tiny_grid(
+        workers=2, grid={"cells": [[10.0, 10.0], [0.0, 0.0]],
+                         "iterations": 2, "probe_n": 2048},
+    ))
+    assert len(log.rows) == 2 * 2 * 2
+    assert sizes == [2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eta", [1e5, 1e200])
+def test_grid_divergence_stops_the_unit_on_one_marked_row(eta):
+    """A fan-out row norm past DIVERGENCE_NORM (eta 1e5) or a failed first
+    step (eta 1e200, overflowing without a warning) marks one row
+    diverged, and nothing follows it."""
+    log = run_experiment(tiny_grid(seeds=[0], grid={
+        "eta": eta, "iterations": 6, "n_mc": 64, "record_every": 1,
+    }))
+    iterations = [r["iteration"] for r in log.rows]
+    assert iterations == list(range(len(iterations)))
+    assert [r["diverged"] for r in log.rows] == [0] * (len(iterations) - 1) + [1]
+    assert all(r["u_max"] <= DIVERGENCE_NORM for r in log.rows[:-1])
 
 
 # --------------------------------------------------------------- emission
