@@ -113,23 +113,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = make_config(_build_config(args))
-    except (ConfigurationError, PreconditionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         log = run_experiment(cfg)
+        out_dir = args.out or f"runs/{cfg.kind}-{cfg.config_hash[:8]}"
+        files = emit_reports(log, out_dir, plots=args.plots)
     except (ConfigurationError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, DegenerateBatchError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    out_dir = args.out or f"runs/{cfg.kind}-{cfg.config_hash[:8]}"
-    try:
-        files = emit_reports(log, out_dir, plots=args.plots)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

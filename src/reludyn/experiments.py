@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -205,6 +205,16 @@ def make_config(data: dict) -> ExperimentConfig:
             "lottery runs require bn_mode none"
         )
     typed = _typed(merged, validator.schema)
+    if kind == "overparam_grid":
+        # a cell's key names its detail table and ledger block
+        g = typed["grid"]
+        keys = [_cell_key(o, *c) for o in g["overparams"] for c in g["cells"]]
+        repeated = [k for k in keys if keys.count(k) > 1]
+        if repeated:
+            raise ConfigurationError(
+                f"grid.cells: two cells share the cell key {repeated[0]} "
+                "(p_w and p_v are keyed to 6 significant digits)"
+            )
     typed["seeds"] = tuple(typed["seeds"])
     return ExperimentConfig(**typed, raw=merged, config_hash=config_hash(merged))
 
@@ -216,8 +226,10 @@ class RunLog:
     Rows hold only str/int/float/bool/None so the CSV bytes are a pure
     function of the values; wall_clock and the per-phase timings (seconds
     by phase name) are reported in meta only and never enter a CSV.
-    Runners fill the results and may fill timings; run_experiment sets
-    kind, config, config_hash and wall_clock.
+    Each pooled work unit returns one with its rows, tables, ledgers,
+    assumptions and timings, and its runner merges them with _merged and
+    adds the aggregates; run_experiment sets kind, config, config_hash
+    and wall_clock.
     """
 
     rows: list[dict]
@@ -231,6 +243,22 @@ class RunLog:
     config: dict = field(default_factory=dict)
     config_hash: str = ""
     wall_clock: float = 0.0
+
+
+def _merged(logs: list[RunLog]) -> RunLog:
+    """The work units' logs as one run's: rows, same-named tables and
+    assumptions concatenated in unit order, ledgers joined, timings
+    summed by phase."""
+    out = RunLog(rows=[])
+    for log in logs:
+        out.rows.extend(log.rows)
+        for name, rows in log.tables.items():
+            out.tables.setdefault(name, []).extend(rows)
+        out.ledgers.update(log.ledgers)
+        out.assumptions.extend(log.assumptions)
+        for phase, seconds in log.timings.items():
+            out.timings[phase] = out.timings.get(phase, 0.0) + seconds
+    return out
 
 
 # ----------------------------------------------------------- aggregation
@@ -422,19 +450,35 @@ def _student(teacher: Network, unit: dict, seed: int) -> Network:
     )
 
 
-def _train_unit(payload: tuple) -> dict:
+def _train_unit(payload: tuple) -> RunLog:
     cfg, unit = payload
+    t0 = time.perf_counter()
     seed = unit["seed"]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
     [(rows, trained, _, diverged)] = _run_training(
         teacher, [_student(teacher, unit, seed)], cfg, unit,
         cfg.epochs, seed + TRAIN_STREAM_OFF,
     )
-    return {
-        "rows": [dict(unit["tags"], seed=seed, **r) for r in rows],
-        "diverged": diverged,
-        "bn": bn_bias_audit(trained) if cfg.kind == "bn_audit" else [],
-    }
+    entry = {"seed": seed, "diverged": diverged}
+    if cfg.kind.startswith("ablate_"):
+        entry["tags"] = unit["tags"]
+    log = RunLog(rows=[dict(unit["tags"], seed=seed, **r) for r in rows],
+                 assumptions=[entry])
+    if cfg.kind == "bn_audit":
+        reports = bn_bias_audit(trained)
+        log.tables["bn_bias"] = [
+            {"seed": seed, "layer": rep.layer,
+             "n_negative": rep.n_negative, "n_positive": rep.n_positive}
+            for rep in reports
+        ]
+        log.tables["bn_bias_hist"] = [
+            {"seed": seed, "layer": rep.layer, "bin": b,
+             "lo": float(rep.bin_edges[b]), "hi": float(rep.bin_edges[b + 1]),
+             "count": int(rep.counts[b])}
+            for rep in reports for b in range(len(rep.counts))
+        ]
+    log.timings["units"] = time.perf_counter() - t0
+    return log
 
 
 def run_training(cfg: ExperimentConfig) -> RunLog:
@@ -446,36 +490,11 @@ def run_training(cfg: ExperimentConfig) -> RunLog:
     reports the sign split of each trained student's BN shifts.
     """
     units = _training_units(cfg)
-    t0 = time.perf_counter()
-    results = _parallel_map(_train_unit, [(cfg, u) for u in units],
-                            cfg.workers)
-    units_s = time.perf_counter() - t0
-    rows = [r for res in results for r in res["rows"]]
+    log = _merged(_parallel_map(_train_unit, [(cfg, u) for u in units],
+                                cfg.workers))
     by = (*units[0]["tags"], "epoch")
     stats = "meanstd" if cfg.kind == "ablate_overparam" else "minmax"
-    log = RunLog(rows=rows, aggregates=_aggregate(rows, by, stats),
-                 timings={"units": units_s})
-    bias_rows, hist_rows = [], []
-    for unit, res in zip(units, results):
-        seed = unit["seed"]
-        entry = {"seed": seed, "diverged": res["diverged"]}
-        if cfg.kind.startswith("ablate_"):
-            entry["tags"] = unit["tags"]
-        log.assumptions.append(entry)
-        for rep in res["bn"]:
-            bias_rows.append({
-                "seed": seed, "layer": rep.layer,
-                "n_negative": rep.n_negative, "n_positive": rep.n_positive,
-            })
-            for b in range(len(rep.counts)):
-                hist_rows.append({
-                    "seed": seed, "layer": rep.layer, "bin": b,
-                    "lo": float(rep.bin_edges[b]),
-                    "hi": float(rep.bin_edges[b + 1]),
-                    "count": int(rep.counts[b]),
-                })
-    if cfg.kind == "bn_audit":
-        log.tables = {"bn_bias": bias_rows, "bn_bias_hist": hist_rows}
+    log.aggregates = _aggregate(log.rows, by, stats)
     return log
 
 
@@ -523,7 +542,7 @@ def _prune_to(net: Network, keep: list[list[int]]) -> Network:
     return build_network(net.spec, weights, biases)
 
 
-def _lottery_unit(payload: tuple) -> dict:
+def _lottery_unit(payload: tuple) -> RunLog:
     cfg, unit = payload
     seed = unit["seed"]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
@@ -562,7 +581,7 @@ def _lottery_unit(payload: tuple) -> dict:
             summary[f"n_winners_l{h}"] = len(keep[h])
             summary[f"n_contested_l{h}"] = contested[h]
         summaries.append(summary)
-    return {"rows": rows, "arms": summaries, "timings": timings}
+    return RunLog(rows=rows, tables={"arms": summaries}, timings=timings)
 
 
 def run_lottery(cfg: ExperimentConfig) -> RunLog:
@@ -574,15 +593,9 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     base and arms phases are timed, each summed over units.
     """
     payloads = [(cfg, u) for u in _training_units(cfg)]
-    results = _parallel_map(_lottery_unit, payloads, cfg.workers)
-    rows = [r for res in results for r in res["rows"]]
-    arms = [a for res in results for a in res["arms"]]
-    return RunLog(
-        rows=rows, aggregates=_aggregate(rows, ("arm", "epoch"), "minmax"),
-        tables={"arms": arms},
-        timings={k: sum(res["timings"][k] for res in results)
-                 for k in ("base", "arms")},
-    )
+    log = _merged(_parallel_map(_lottery_unit, payloads, cfg.workers))
+    log.aggregates = _aggregate(log.rows, ("arm", "epoch"), "minmax")
+    return log
 
 
 # ------------------------------------------------------ checking runners
@@ -742,24 +755,23 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     b_v = float(max(np.linalg.norm(state.v_star, axis=1).max(),
                     row_norms.max()))
     b_dv = float(np.linalg.norm(state.v[:m] - state.v_star, axis=1).max())
-    ledger = two_layer_constants(
-        k_d, k_l, theta_0, eps_d, eps_l, b_v, b_dv, m, n, c0_hat,
-        grid["eta"], float(d_diag.min()), float(l_diag.min()),
+    inputs = dict(
+        k_d=k_d, k_l=k_l, theta_0=theta_0, eps_d=eps_d, eps_l=eps_l,
+        b_v=b_v, b_dv=b_dv, m=m, n=n, c0_hat=c0_hat, eta=grid["eta"],
+        d_diag_min=float(d_diag.min()), l_diag_min=float(l_diag.min()),
     )
-    # ConstantLedger's 13 leading fields are its inputs
-    inputs = {f.name: getattr(ledger, f.name) for f in fields(ledger)[:13]}
-    inputs["theta_raw"] = theta_raw
-    return ledger, inputs
+    return two_layer_constants(**inputs), dict(inputs, theta_raw=theta_raw)
 
 
-def _grid_unit(payload: dict) -> dict:
+def _grid_unit(payload: dict) -> RunLog:
     """One (cell, seed) trajectory, its rows not yet tagged with the cell.
 
-    The cell's first seed also measures the cell's ledger on the initial
-    pair it runs, records per-filter detail and, when that ledger is
-    feasible in guaranteed mode, the monitor rows.  A failed step, or a
-    recorded fan-out row norm above DIVERGENCE_NORM or non-finite, marks
-    the unit diverged and stops it.
+    The cell's first seed also reports the cell: it measures the cell's
+    ledger on the initial pair it runs and returns the ledger block, the
+    assumption entry, the per-filter detail table and, when that ledger
+    is feasible in guaranteed mode, the tagged monitor rows.  A failed
+    step, or a recorded fan-out row norm above DIVERGENCE_NORM or
+    non-finite, marks the unit diverged and stops it.
     """
     g = payload["grid"]
     seed, cell_index = payload["seed"], payload["cell_index"]
@@ -773,12 +785,13 @@ def _grid_unit(payload: dict) -> dict:
         payload["p_w"], payload["p_v"], g["eta"], tau=g["tau"],
     )
     t0 = time.perf_counter()
-    detailed, measured, monitor_x = payload["detail"], None, None
+    detailed, monitor_x = payload["detail"], None
     if detailed:
-        measured = _measure_cell_ledger(state, g, cell_index, payload["key"],
-                                        payload["c0_hat"])
-        ledger = measured[0]
-        if payload["mode"] == "guaranteed" and ledger.feasible:
+        ledger, inputs = _measure_cell_ledger(
+            state, g, cell_index, payload["key"], payload["c0_hat"],
+        )
+        guaranteed = payload["mode"] == "guaranteed" and ledger.feasible
+        if guaranteed:
             monitor_x = next_batch(
                 GausStream(dim=g["dim"], std=1.0,
                            seed=_derive_seed(3, cell_index, seed)),
@@ -788,6 +801,7 @@ def _grid_unit(payload: dict) -> dict:
     stream = GausStream(dim=g["dim"], std=1.0,
                         seed=_derive_seed(2, cell_index, seed))
     m = state.u_count
+    tags = {k: payload[k] for k in ("overparam", "p_w", "p_v")}
     rows, monitors, detail = [], [], []
 
     def record(it: int, diverged: int) -> bool:
@@ -834,29 +848,50 @@ def _grid_unit(payload: dict) -> dict:
             if monitor_x is not None and it % g["monitor_every"] == 0:
                 entry = asdict(monitor_hypotheses(state, ledger, it + 1,
                                                   monitor_x))
-                monitors.append(dict(seed=seed, **entry))
+                monitors.append(dict(tags, guaranteed=1, seed=seed, **entry))
                 if detail[-1]["t"] == it:
                     detail[-1].update(
                         {k: v for k, v in entry.items()
                          if k.startswith("slack_")},
                         gamma=ledger.gamma, rate_w=ledger.rate_w,
                     )
-    return {"rows": rows, "monitors": monitors, "detail": detail,
-            "ledger": measured,
-            "timings": {"ledgers": t1 - t0,
-                        "units": time.perf_counter() - t1}}
+    log = RunLog(rows=rows, timings={"ledgers": t1 - t0,
+                                     "units": time.perf_counter() - t1})
+    if detailed:
+        key = payload["key"]
+        cell_mode = "guaranteed" if guaranteed else "free-run"
+        log.tables[f"detail_{key}"] = detail
+        if monitors:
+            log.tables["monitors"] = monitors
+        log.ledgers[key] = {
+            "inputs": inputs, "ledger": asdict(ledger), "cell_mode": cell_mode,
+        }
+        log.assumptions.append({
+            "cell": key,
+            "cell_mode": cell_mode,
+            "feasible": ledger.feasible,
+            "binding": ledger.binding,
+            "checked": len(monitors),
+            "violations": sum(
+                not (mrow["w_separation_ok"] and mrow["wu_contraction_ok"]
+                     and mrow["v_contraction_ok"] and mrow["wr_bound_ok"])
+                for mrow in monitors
+            ),
+        })
+    return log
 
 
 def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
     """Reduced two-layer trajectories over (overparam) x (init proximity).
 
     One worker pool runs every (cell, seed) unit.  Each cell's first-seed
-    unit measures the cell's constant ledger on the initial pair it runs;
-    in guaranteed mode a feasible ledger has that unit monitor the
+    unit measures the cell's constant ledger on the initial pair it runs
+    and reports the cell's ledger block, detail table and assumption
+    entry; in guaranteed mode a feasible ledger has that unit monitor the
     hypotheses, and an infeasible one downgrades the cell to free-run
     (trajectories still run, the marking lands in the ledger block and
-    the row tags).  Each cell's tags, ledger block, detail table and
-    assumption entry are then assembled once from its units.
+    the row tags).  The runner merges the units' logs and tags each row
+    with its cell, taking guaranteed from the cell's first-seed unit.
     Per-iteration mean and std across seeds mirror the row-norm panels.
     The c0 probe is timed as a phase; the ledgers and the trajectories
     are timed in each unit and summed over units.
@@ -873,59 +908,30 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
         g["probe_n"], n_directions=4, seed=0, tau=g["tau"],
     )
     c0_s = time.perf_counter() - t0
-    cells = [
-        {"key": _cell_key(o, p_w, p_v), "cell_index": ci,
-         "overparam": o, "p_w": p_w, "p_v": p_v}
+    payloads = [
+        {"key": _cell_key(o, p_w, p_v), "cell_index": ci, "overparam": o,
+         "p_w": p_w, "p_v": p_v, "grid": g, "seed": seed,
+         "detail": seed == cfg.seeds[0], "mode": cfg.mode,
+         "c0_hat": c0_probe.c0_hat}
         for ci, (o, (p_w, p_v)) in enumerate(
             itertools.product(g["overparams"], g["cells"])
         )
+        for seed in cfg.seeds
     ]
-    results = _parallel_map(_grid_unit, [
-        dict(cell, grid=g, seed=seed, detail=seed == cfg.seeds[0],
-             mode=cfg.mode, c0_hat=c0_probe.c0_hat)
-        for cell in cells for seed in cfg.seeds
-    ], cfg.workers)
-    rows, monitors, tables, ledgers, assumptions = [], [], {}, {}, []
-    for ci, cell in enumerate(cells):
-        units = results[ci * len(cfg.seeds):(ci + 1) * len(cfg.seeds)]
-        ledger, inputs = units[0]["ledger"]
-        guaranteed = cfg.mode == "guaranteed" and ledger.feasible
-        cell_mode = "guaranteed" if guaranteed else "free-run"
-        tags = {"overparam": cell["overparam"], "p_w": cell["p_w"],
-                "p_v": cell["p_v"], "guaranteed": int(guaranteed)}
-        rows.extend(dict(tags, **r) for unit in units for r in unit["rows"])
-        checked = [dict(tags, **mrow)
-                   for unit in units for mrow in unit["monitors"]]
-        monitors.extend(checked)
-        tables[f"detail_{cell['key']}"] = units[0]["detail"]
-        ledgers[cell["key"]] = {
-            "inputs": inputs, "ledger": asdict(ledger), "cell_mode": cell_mode,
-        }
-        assumptions.append({
-            "cell": cell["key"],
-            "cell_mode": cell_mode,
-            "feasible": ledger.feasible,
-            "binding": ledger.binding,
-            "checked": len(checked),
-            "violations": sum(
-                1 for mrow in checked
-                if not (mrow["w_separation_ok"] and mrow["wu_contraction_ok"]
-                        and mrow["v_contraction_ok"] and mrow["wr_bound_ok"])
-            ),
-        })
-    if monitors:
-        tables["monitors"] = monitors
-    return RunLog(
-        rows=rows,
-        aggregates=_aggregate(
-            rows, ("overparam", "p_w", "p_v", "iteration"), "meanstd",
-        ),
-        tables=tables, ledgers=ledgers, assumptions=assumptions,
-        timings={"c0_probe": c0_s, **{
-            k: sum(res["timings"][k] for res in results)
-            for k in ("ledgers", "units")
-        }},
+    units = _parallel_map(_grid_unit, payloads, cfg.workers)
+    for payload, unit in zip(payloads, units):
+        # a cell's first-seed unit comes before the cell's other units
+        if payload["detail"]:
+            cell_mode = unit.ledgers[payload["key"]]["cell_mode"]
+        tags = {k: payload[k] for k in ("overparam", "p_w", "p_v")}
+        tags["guaranteed"] = int(cell_mode == "guaranteed")
+        unit.rows = [dict(tags, **r) for r in unit.rows]
+    log = _merged(units)
+    log.aggregates = _aggregate(
+        log.rows, ("overparam", "p_w", "p_v", "iteration"), "meanstd",
     )
+    log.timings["c0_probe"] = c0_s
+    return log
 
 
 _RUNNERS = {

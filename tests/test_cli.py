@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from reludyn import experiments
 from reludyn.cli import _ABLATE_KINDS, _SUBCOMMANDS, main
 from reludyn.experiments import _RUNNERS, _validator
 
@@ -327,6 +328,60 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, name):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} must be finite" in err
+
+
+# a repeated entry would run a work unit, a grid cell or an ablation level
+# twice; a repeated cell key would write one cell's table over another's
+REPEATED_RUNS = {
+    "seeds-flag": ("train", TINY_TRAIN, ["--seeds", "3,3"], "non-unique"),
+    "grid-seeds": ("overparam-grid", {"seeds": [0, 0], "grid": TINY_GRID},
+                   [], "non-unique"),
+    "grid-overparams": ("overparam-grid",
+                        {"grid": dict(TINY_GRID, overparams=[1, 1])}, [],
+                        "non-unique"),
+    "grid-cells": ("overparam-grid",
+                   {"grid": dict(TINY_GRID, cells=[[1, 0], [1.0, 0.0]])}, [],
+                   "non-unique"),
+    "grid-cell-keys": ("overparam-grid", {"grid": dict(
+        TINY_GRID, cells=[[1.0000001, 0.0], [1.0000002, 0.0]],
+    )}, [], "grid.cells: two cells share the cell key x1_pw1_pv0"),
+    "ablate-archs": ("ablate", dict(MIN_NET, kind="ablate_size", ablate={
+        "archs": [[2, 1], [2, 1]], "bn_modes": ["none"]}), [], "non-unique"),
+    "ablate-bn-modes": ("ablate", dict(MIN_NET, kind="ablate_size", ablate={
+        "archs": [[2, 1]], "bn_modes": ["none", "none"]}), [], "non-unique"),
+    "ablate-factors": ("ablate", dict(
+        MIN_NET, kind="ablate_overparam", ablate={"factors": [1, 1]},
+    ), [], "non-unique"),
+    "ablate-finite-sizes": ("ablate", dict(
+        MIN_NET, kind="ablate_finite", ablate={"finite_sizes": [2, 2]},
+    ), [], "non-unique"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_RUNS))
+def test_repeated_seeds_and_levels_are_config_errors(tmp_path, capsys, name):
+    command, data, flags, message = REPEATED_RUNS[name]
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_os_error_while_running_is_io_error(tmp_path, capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise OSError("cannot fork")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, TINY_TRAIN)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out),
+                 "--workers", "2"]) == 4
+    assert capsys.readouterr().err == "i/o error: cannot fork\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

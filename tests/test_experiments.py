@@ -297,6 +297,28 @@ def test_parallel_matches_serial(kind):
         assert serial.tables["monitors"]
 
 
+def test_merged_joins_unit_logs_in_unit_order():
+    first = RunLog(
+        rows=[{"seed": 0}], tables={"t": [{"x": 1}], "empty": []},
+        ledgers={"a": {"k": 1}}, assumptions=[{"seed": 0}],
+        timings={"units": 1.5, "ledgers": 0.25},
+    )
+    second = RunLog(
+        rows=[{"seed": 1}, {"seed": 2}], tables={"t": [{"x": 2}]},
+        ledgers={"b": {"k": 2}}, assumptions=[{"seed": 1}],
+        timings={"units": 2.0},
+    )
+    log = experiments._merged([first, second])
+    assert log.rows == [{"seed": 0}, {"seed": 1}, {"seed": 2}]
+    assert log.tables == {"t": [{"x": 1}, {"x": 2}], "empty": []}
+    assert log.ledgers == {"a": {"k": 1}, "b": {"k": 2}}
+    assert log.assumptions == [{"seed": 0}, {"seed": 1}]
+    assert log.timings == {"units": 3.5, "ledgers": 0.25}
+    assert log.aggregates == [] and not log.failed
+    # the units' own logs are left as they were
+    assert first.rows == [{"seed": 0}] and first.tables["t"] == [{"x": 1}]
+
+
 def recording_pool(monkeypatch) -> list[int]:
     """Swap the worker pool for a stand-in that records the size of each
     pool opened and maps in this process; returns the list of sizes."""
@@ -506,6 +528,16 @@ def test_bn_audit_parallel_matches_serial():
     assert {b["seed"] for b in serial.tables["bn_bias"]} == {0, 1}
 
 
+def test_bn_audit_without_bn_writes_empty_tables(tmp_path):
+    log = run_experiment(tiny_bn_audit(
+        seeds=[0, 1], student={"overparam_factor": 2, "bn_mode": "none"},
+    ))
+    assert log.tables == {"bn_bias": [], "bn_bias_hist": []}
+    emit_reports(log, tmp_path)
+    for name in ("bn_bias", "bn_bias_hist"):
+        assert (tmp_path / f"{name}.csv").read_text() == "\n"
+
+
 def test_backward_calls_keep_the_bn_step_contract(monkeypatch):
     """What bench/child.py's check_bn_step reads from a captured step.
 
@@ -712,9 +744,9 @@ def test_grid_parallel_matches_serial():
     cells = [[10.0, 10.0], [0.0, 0.0]]
     cases = [
         ({"grid": {"cells": cells}}, False),
-        # guaranteed cells whose first seed repeats: both of its units
-        # measure the ledger and record monitors
-        ({"seeds": [3, 3, 4], "mode": "guaranteed",
+        # guaranteed cells: each first-seed unit measures the ledger and
+        # records monitors
+        ({"seeds": [3, 4], "mode": "guaranteed",
           "grid": {"teacher_width": 1, "overparams": [1, 2], "cells": cells,
                    "tau": 2.0, "iterations": 20, "monitor_every": 5}}, True),
     ]
