@@ -84,11 +84,12 @@ def _check_threshold(tau: float) -> None:
         raise PreconditionError(f"gate threshold must be >= 0, got {tau!r}")
 
 
-def _relu(z: np.ndarray, tau: float) -> np.ndarray:
+def _relu(z: np.ndarray, tau: float, out=None) -> np.ndarray:
     _check_threshold(tau)
-    f = np.maximum(z, 0.0)
+    f = np.maximum(z, 0.0, out=out)
     if tau > 0.0:
-        f *= z > tau
+        # for tau > 0, max(z, 0) > tau exactly where z > tau
+        f *= f > tau
     return f
 
 
@@ -150,10 +151,7 @@ def self_moments(x: np.ndarray, w: np.ndarray,
     for lo in range(0, n, GRAM_BLOCK_ROWS):
         g = _gate(z[lo:lo + GRAM_BLOCK_ROWS], tau, counts.dtype)
         counts += g.T @ g
-    f = np.maximum(z, 0.0, out=z)
-    if tau > 0.0:
-        # for tau > 0, max(z, 0) > tau exactly where z > tau
-        f *= f > tau
+    f = _relu(z, tau, out=z)
     return counts.astype(float) / n, f.T @ f / n
 
 

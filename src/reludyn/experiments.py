@@ -3,8 +3,8 @@
 Every experiment is described by a JSON config validated against the
 packaged schema, runs to a RunLog of plain scalar rows, and is emitted as
 CSV/JSON (optionally SVG) whose bytes depend only on the config and seed
-list.  Seeds (and grid cells) are independent work units, so a process
-pool with N workers produces exactly the serial result.
+list.  Every kind's seeds are independent (cfg, unit) work units, so a
+process pool with N workers produces exactly the serial result.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def make_config(data: dict) -> ExperimentConfig:
     validator, defaults = _schema_facts()
     error = jsonschema.exceptions.best_match(validator.iter_errors(data))
     if error is not None:
-        raise ConfigurationError(f"config rejected: {error.message}")
+        key = error.json_path.replace("$", "config", 1)
+        raise ConfigurationError(f"{key} rejected: {error.message}")
     kind = data["kind"]
     merged = _merge(defaults, _KIND_OVERRIDES.get(kind, {}))
     merged = _merge(merged, data)
@@ -212,7 +213,7 @@ def make_config(data: dict) -> ExperimentConfig:
         repeated = [k for k in keys if keys.count(k) > 1]
         if repeated:
             raise ConfigurationError(
-                f"grid.cells: two cells share the cell key {repeated[0]} "
+                f"config.grid.cells: two cells share the cell key {repeated[0]} "
                 "(p_w and p_v are keyed to 6 significant digits)"
             )
     typed["seeds"] = tuple(typed["seeds"])
@@ -229,7 +230,7 @@ class RunLog:
     Each pooled work unit returns one with its rows, tables, ledgers,
     assumptions and timings, and its runner merges them with _merged and
     adds the aggregates; run_experiment sets kind, config, config_hash
-    and wall_clock.
+    and wall_clock.  failed is read from the rows: any ok == 0 fails.
     """
 
     rows: list[dict]
@@ -237,12 +238,15 @@ class RunLog:
     tables: dict[str, list[dict]] = field(default_factory=dict)
     ledgers: dict = field(default_factory=dict)
     assumptions: list[dict] = field(default_factory=list)
-    failed: bool = False
     timings: dict[str, float] = field(default_factory=dict)
     kind: str = ""
     config: dict = field(default_factory=dict)
     config_hash: str = ""
     wall_clock: float = 0.0
+
+    @property
+    def failed(self) -> bool:
+        return any(row.get("ok") == 0 for row in self.rows)
 
 
 def _merged(logs: list[RunLog]) -> RunLog:
@@ -310,6 +314,12 @@ def _parallel_map(fn, payloads: list, workers: int) -> list:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
+
+
+def _pooled(cfg: ExperimentConfig, unit_fn, units: list) -> RunLog:
+    """unit_fn's logs over (cfg, unit) per unit, merged in unit order."""
+    return _merged(_parallel_map(unit_fn, [(cfg, u) for u in units],
+                                 cfg.workers))
 
 
 def _derive_seed(*parts: int) -> int:
@@ -490,8 +500,7 @@ def run_training(cfg: ExperimentConfig) -> RunLog:
     reports the sign split of each trained student's BN shifts.
     """
     units = _training_units(cfg)
-    log = _merged(_parallel_map(_train_unit, [(cfg, u) for u in units],
-                                cfg.workers))
+    log = _pooled(cfg, _train_unit, units)
     by = (*units[0]["tags"], "epoch")
     stats = "meanstd" if cfg.kind == "ablate_overparam" else "minmax"
     log.aggregates = _aggregate(log.rows, by, stats)
@@ -592,8 +601,7 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     in lockstep on one retrain stream, so the comparison is paired.  The
     base and arms phases are timed, each summed over units.
     """
-    payloads = [(cfg, u) for u in _training_units(cfg)]
-    log = _merged(_parallel_map(_lottery_unit, payloads, cfg.workers))
+    log = _pooled(cfg, _lottery_unit, _training_units(cfg))
     log.aggregates = _aggregate(log.rows, ("arm", "epoch"), "minmax")
     return log
 
@@ -616,13 +624,15 @@ def _random_net(rng: np.random.Generator, widths: list[int],
     return build_network(spec, weights, biases)
 
 
-def run_verify_identity(cfg: ExperimentConfig) -> RunLog:
-    """Exactness check of the gradient decomposition on random pairs.
+def _verify_unit(payload: tuple) -> RunLog:
+    """Exactness check of the gradient decomposition on the seed's random
+    pairs, n_trials of them drawn from default_rng(seed).
 
-    Residuals are reported relative to the largest node gradient; any
-    trial over tolerance marks the whole log failed.
+    Residuals are reported relative to the largest node gradient; a
+    trial over tolerance has ok 0, which fails the run.
     """
-    rng = np.random.default_rng(cfg.seeds[0])
+    cfg, seed = payload
+    rng = np.random.default_rng(seed)
     tol = cfg.verify["tol"]
     rows = []
     for trial in range(cfg.verify["n_trials"]):
@@ -642,70 +652,64 @@ def run_verify_identity(cfg: ExperimentConfig) -> RunLog:
         gmax = max(float(np.abs(g).max()) for g in grads.node)
         rel = resid / gmax if gmax > 0 else 0.0
         rows.append({
-            "seed": cfg.seeds[0], "trial": trial,
+            "seed": seed, "trial": trial,
             "student": "-".join(str(w) for w in s_widths),
             "teacher": "-".join(str(w) for w in t_widths),
             "bias": int(bias), "residual": float(rel),
             "ok": int(rel < tol),
         })
-    failed = any(not r["ok"] for r in rows)
-    return RunLog(rows=rows, failed=failed)
+    return RunLog(rows=rows)
 
 
-def run_psi_check(cfg: ExperimentConfig) -> RunLog:
+def _psi_unit(payload: tuple) -> RunLog:
     """Joint-firing moment vs the closed form (pi - angle) / 2 pi.
 
-    Each seed also checks trial -1, the self-overlap at angle 0 (closed
+    The seed also checks trial -1, the self-overlap at angle 0 (closed
     form 1/2), on a stream of its own.
     """
+    cfg, seed = payload
     n = cfg.psi["n"]
     w1 = np.array([1.0, 0.0])
     rows = []
-    for seed in cfg.seeds:
-        trials = [(i, angle, _derive_seed(50, seed, i))
-                  for i, angle in enumerate(cfg.psi["angles"])]
-        trials.append((-1, 0.0, _derive_seed(51, seed)))
-        for trial, angle, stream_seed in trials:
-            stream = GausStream(dim=2, std=1.0, seed=stream_seed)
-            w2 = np.array([math.cos(angle), math.sin(angle)])
-            val, err = psi_d(w1, w2, stream, n)
-            ref = (math.pi - angle) / (2.0 * math.pi)
-            rows.append({
-                "seed": seed, "trial": trial, "angle": angle,
-                "psi_d": float(val), "stderr": float(err),
-                "closed_form": ref,
-                "ok": int(abs(val - ref) <= 4.0 * err + 1e-12),
-            })
-    failed = any(not r["ok"] for r in rows)
-    return RunLog(rows=rows, failed=failed)
-
-
-def run_falloff(cfg: ExperimentConfig) -> RunLog:
-    """Perturbation-response exponent of the diagonal activation moment."""
-    f = cfg.falloff
-    rows, points = [], []
-    for seed in cfg.seeds:
-        rng = np.random.default_rng(seed)
-        w_star = rng.normal(size=f["dim"])
-        w_star /= np.linalg.norm(w_star)
-        stream = GausStream(dim=f["dim"], std=1.0, seed=_derive_seed(70, seed))
-        probe = quadratic_falloff_probe(
-            w_star, tuple(f["scales"]), stream, f["n"],
-            n_directions=f["n_directions"], seed=_derive_seed(71, seed),
-        )
+    trials = [(i, angle, _derive_seed(50, seed, i))
+              for i, angle in enumerate(cfg.psi["angles"])]
+    trials.append((-1, 0.0, _derive_seed(51, seed)))
+    for trial, angle, stream_seed in trials:
+        stream = GausStream(dim=2, std=1.0, seed=stream_seed)
+        w2 = np.array([math.cos(angle), math.sin(angle)])
+        val, err = psi_d(w1, w2, stream, n)
+        ref = (math.pi - angle) / (2.0 * math.pi)
         rows.append({
-            "seed": seed, "exponent": float(probe.exponent),
-            "c0_hat": float(probe.c0_hat), "n_kept": int(probe.kept.sum()),
+            "seed": seed, "trial": trial, "angle": angle,
+            "psi_d": float(val), "stderr": float(err),
+            "closed_form": ref,
+            "ok": int(abs(val - ref) <= 4.0 * err + 1e-12),
         })
-        for idx in range(len(probe.dists)):
-            points.append({
-                "seed": seed, "point": idx,
-                "dist": float(probe.dists[idx]),
-                "diff": float(probe.diffs[idx]),
-                "stderr": float(probe.stderrs[idx]),
-                "kept": int(probe.kept[idx]),
-            })
-    return RunLog(rows=rows, tables={"points": points})
+    return RunLog(rows=rows)
+
+
+def _falloff_unit(payload: tuple) -> RunLog:
+    """Perturbation-response exponent of the diagonal activation moment."""
+    cfg, seed = payload
+    f = cfg.falloff
+    rng = np.random.default_rng(seed)
+    w_star = rng.normal(size=f["dim"])
+    w_star /= np.linalg.norm(w_star)
+    stream = GausStream(dim=f["dim"], std=1.0, seed=_derive_seed(70, seed))
+    probe = quadratic_falloff_probe(
+        w_star, tuple(f["scales"]), stream, f["n"],
+        n_directions=f["n_directions"], seed=_derive_seed(71, seed),
+    )
+    points = [
+        {"seed": seed, "point": idx, "dist": float(probe.dists[idx]),
+         "diff": float(probe.diffs[idx]), "stderr": float(probe.stderrs[idx]),
+         "kept": int(probe.kept[idx])}
+        for idx in range(len(probe.dists))
+    ]
+    return RunLog(rows=[{
+        "seed": seed, "exponent": float(probe.exponent),
+        "c0_hat": float(probe.c0_hat), "n_kept": int(probe.kept.sum()),
+    }], tables={"points": points})
 
 
 # ------------------------------------------------------------- grid runs
@@ -763,7 +767,7 @@ def _measure_cell_ledger(state, grid: dict, cell_index: int, cell: str,
     return two_layer_constants(**inputs), dict(inputs, theta_raw=theta_raw)
 
 
-def _grid_unit(payload: dict) -> RunLog:
+def _grid_unit(payload: tuple) -> RunLog:
     """One (cell, seed) trajectory, its rows not yet tagged with the cell.
 
     The cell's first seed also reports the cell: it measures the cell's
@@ -773,24 +777,26 @@ def _grid_unit(payload: dict) -> RunLog:
     step, or a recorded fan-out row norm above DIVERGENCE_NORM or
     non-finite, marks the unit diverged and stops it.
     """
-    g = payload["grid"]
-    seed, cell_index = payload["seed"], payload["cell_index"]
+    cfg, unit = payload
+    g = cfg.grid
+    seed, cell_index, tags = unit["seed"], unit["cell_index"], unit["tags"]
     w_star, v_star = reduced_teacher(
         np.random.default_rng(g["teacher_seed"]), g["dim"],
         g["teacher_width"], g["outputs"],
     )
     state = mixed_two_layer_init(
         np.random.default_rng(_derive_seed(1, cell_index, seed)),
-        w_star, v_star, payload["overparam"] * g["teacher_width"],
-        payload["p_w"], payload["p_v"], g["eta"], tau=g["tau"],
+        w_star, v_star, tags["overparam"] * g["teacher_width"],
+        tags["p_w"], tags["p_v"], g["eta"], tau=g["tau"],
     )
     t0 = time.perf_counter()
-    detailed, monitor_x = payload["detail"], None
+    detailed, monitor_x = seed == cfg.seeds[0], None
     if detailed:
+        key = _cell_key(**tags)
         ledger, inputs = _measure_cell_ledger(
-            state, g, cell_index, payload["key"], payload["c0_hat"],
+            state, g, cell_index, key, unit["c0_hat"],
         )
-        guaranteed = payload["mode"] == "guaranteed" and ledger.feasible
+        guaranteed = cfg.mode == "guaranteed" and ledger.feasible
         if guaranteed:
             monitor_x = next_batch(
                 GausStream(dim=g["dim"], std=1.0,
@@ -801,7 +807,6 @@ def _grid_unit(payload: dict) -> RunLog:
     stream = GausStream(dim=g["dim"], std=1.0,
                         seed=_derive_seed(2, cell_index, seed))
     m = state.u_count
-    tags = {k: payload[k] for k in ("overparam", "p_w", "p_v")}
     rows, monitors, detail = [], [], []
 
     def record(it: int, diverged: int) -> bool:
@@ -858,7 +863,6 @@ def _grid_unit(payload: dict) -> RunLog:
     log = RunLog(rows=rows, timings={"ledgers": t1 - t0,
                                      "units": time.perf_counter() - t1})
     if detailed:
-        key = payload["key"]
         cell_mode = "guaranteed" if guaranteed else "free-run"
         log.tables[f"detail_{key}"] = detail
         if monitors:
@@ -908,25 +912,22 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
         g["probe_n"], n_directions=4, seed=0, tau=g["tau"],
     )
     c0_s = time.perf_counter() - t0
-    payloads = [
-        {"key": _cell_key(o, p_w, p_v), "cell_index": ci, "overparam": o,
-         "p_w": p_w, "p_v": p_v, "grid": g, "seed": seed,
-         "detail": seed == cfg.seeds[0], "mode": cfg.mode,
-         "c0_hat": c0_probe.c0_hat}
+    units = [
+        {"cell_index": ci, "seed": seed, "c0_hat": c0_probe.c0_hat,
+         "tags": {"overparam": o, "p_w": p_w, "p_v": p_v}}
         for ci, (o, (p_w, p_v)) in enumerate(
             itertools.product(g["overparams"], g["cells"])
         )
         for seed in cfg.seeds
     ]
-    units = _parallel_map(_grid_unit, payloads, cfg.workers)
-    for payload, unit in zip(payloads, units):
+    logs = _parallel_map(_grid_unit, [(cfg, u) for u in units], cfg.workers)
+    for unit, unit_log in zip(units, logs):
         # a cell's first-seed unit comes before the cell's other units
-        if payload["detail"]:
-            cell_mode = unit.ledgers[payload["key"]]["cell_mode"]
-        tags = {k: payload[k] for k in ("overparam", "p_w", "p_v")}
-        tags["guaranteed"] = int(cell_mode == "guaranteed")
-        unit.rows = [dict(tags, **r) for r in unit.rows]
-    log = _merged(units)
+        if unit["seed"] == cfg.seeds[0]:
+            cell_mode = unit_log.assumptions[0]["cell_mode"]
+        tags = dict(unit["tags"], guaranteed=int(cell_mode == "guaranteed"))
+        unit_log.rows = [dict(tags, **r) for r in unit_log.rows]
+    log = _merged(logs)
     log.aggregates = _aggregate(
         log.rows, ("overparam", "p_w", "p_v", "iteration"), "meanstd",
     )
@@ -935,7 +936,7 @@ def run_overparam_grid(cfg: ExperimentConfig) -> RunLog:
 
 
 _RUNNERS = {
-    "verify_identity": run_verify_identity,
+    "verify_identity": lambda cfg: _pooled(cfg, _verify_unit, cfg.seeds),
     "train": run_training,
     "overparam_grid": run_overparam_grid,
     "ablate_size": run_training,
@@ -943,8 +944,8 @@ _RUNNERS = {
     "ablate_finite": run_training,
     "lottery": run_lottery,
     "bn_audit": run_training,
-    "psi_check": run_psi_check,
-    "falloff_probe": run_falloff,
+    "psi_check": lambda cfg: _pooled(cfg, _psi_unit, cfg.seeds),
+    "falloff_probe": lambda cfg: _pooled(cfg, _falloff_unit, cfg.seeds),
 }
 
 

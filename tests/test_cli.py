@@ -3,8 +3,10 @@
 import json
 import math
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reludyn import experiments
 from reludyn.cli import _ABLATE_KINDS, _SUBCOMMANDS, main
@@ -331,30 +333,36 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, name):
 
 
 # a repeated entry would run a work unit, a grid cell or an ablation level
-# twice; a repeated cell key would write one cell's table over another's
+# twice; a repeated cell key would write one cell's table over another's.
+# Each error names its key.
 REPEATED_RUNS = {
-    "seeds-flag": ("train", TINY_TRAIN, ["--seeds", "3,3"], "non-unique"),
+    "seeds-flag": ("train", TINY_TRAIN, ["--seeds", "3,3"],
+                   "config.seeds rejected: [3, 3] has non-unique"),
     "grid-seeds": ("overparam-grid", {"seeds": [0, 0], "grid": TINY_GRID},
-                   [], "non-unique"),
+                   [], "config.seeds rejected: [0, 0] has non-unique"),
     "grid-overparams": ("overparam-grid",
                         {"grid": dict(TINY_GRID, overparams=[1, 1])}, [],
+                        "config.grid.overparams rejected: [1, 1] has "
                         "non-unique"),
     "grid-cells": ("overparam-grid",
                    {"grid": dict(TINY_GRID, cells=[[1, 0], [1.0, 0.0]])}, [],
+                   "config.grid.cells rejected: [[1, 0], [1.0, 0.0]] has "
                    "non-unique"),
     "grid-cell-keys": ("overparam-grid", {"grid": dict(
         TINY_GRID, cells=[[1.0000001, 0.0], [1.0000002, 0.0]],
-    )}, [], "grid.cells: two cells share the cell key x1_pw1_pv0"),
+    )}, [], "config.grid.cells: two cells share the cell key x1_pw1_pv0"),
     "ablate-archs": ("ablate", dict(MIN_NET, kind="ablate_size", ablate={
-        "archs": [[2, 1], [2, 1]], "bn_modes": ["none"]}), [], "non-unique"),
+        "archs": [[2, 1], [2, 1]], "bn_modes": ["none"]}), [],
+        "config.ablate.archs rejected: [[2, 1], [2, 1]] has non-unique"),
     "ablate-bn-modes": ("ablate", dict(MIN_NET, kind="ablate_size", ablate={
-        "archs": [[2, 1]], "bn_modes": ["none", "none"]}), [], "non-unique"),
+        "archs": [[2, 1]], "bn_modes": ["none", "none"]}), [],
+        "config.ablate.bn_modes rejected: ['none', 'none'] has non-unique"),
     "ablate-factors": ("ablate", dict(
         MIN_NET, kind="ablate_overparam", ablate={"factors": [1, 1]},
-    ), [], "non-unique"),
+    ), [], "config.ablate.factors rejected: [1, 1] has non-unique"),
     "ablate-finite-sizes": ("ablate", dict(
         MIN_NET, kind="ablate_finite", ablate={"finite_sizes": [2, 2]},
-    ), [], "non-unique"),
+    ), [], "config.ablate.finite_sizes rejected: [2, 2] has non-unique"),
 }
 
 
@@ -402,3 +410,55 @@ def test_diverging_grid_runs_without_warnings(tmp_path, capsys):
     # divergence cutoff, and only that row is marked diverged
     assert [(r["p_w"], r["iteration"]) for r in rows
             if r["diverged"] == "1"] == [("10.0", "3"), ("0.0", "3")]
+
+
+# each integer is drawn from [minimum, minimum + span]: span 3 unless
+# named here, so every size (epochs, batches, widths, iterations, sample
+# counts, trials) stays small enough for a config to run in milliseconds
+FUZZ_SPANS = {"workers": 1, "n_mc": 30, "probe_n": 5000, "n": 20000,
+              "n_samples": 40, "finite_sizes": 40}
+
+
+def schema_values(node: dict, key: str = "config"):
+    """Values the schema node accepts: its enum, its type within its
+    bounds, lists within minItems, maxItems and uniqueItems.  An object
+    draws every property, so no large default runs."""
+    if "enum" in node:
+        return st.sampled_from(node["enum"])
+    kind = node["type"]
+    if kind == "object":
+        return st.fixed_dictionaries({
+            k: schema_values(prop, k) for k, prop in node["properties"].items()
+        })
+    if kind == "array":
+        low = node.get("minItems", 0)
+        return st.lists(
+            schema_values(node["items"], key), min_size=low,
+            max_size=node.get("maxItems", low + 2),
+            unique_by=json.dumps if node.get("uniqueItems") else None,
+        )
+    if kind == "integer":
+        low = node.get("minimum", 0)
+        return st.integers(low, low + FUZZ_SPANS.get(key, 3))
+    return st.floats(
+        min_value=node.get("minimum", node.get("exclusiveMinimum")),
+        max_value=node.get("maximum"),
+        exclude_min="exclusiveMinimum" in node,
+        allow_nan=False, allow_infinity=False,
+    )
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_schema_drawn_configs_end_in_documented_exit_codes(command, data):
+    config = data.draw(schema_values(_validator().schema))
+    kind = _SUBCOMMANDS[command]
+    config["kind"] = kind or data.draw(st.sampled_from(_ABLATE_KINDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert main([command, "--config", path, "--out", f"{tmp}/out"]) in (
+            0, 2, 3, 4,
+        )

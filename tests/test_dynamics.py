@@ -91,6 +91,23 @@ def test_self_moments_equal_public_estimators_bitwise(tau):
     assert np.array_equal(l, act_moments(x, w, w, tau)[0])
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0, 3.0])
+def test_relu_mask_from_its_output_matches_the_input_mask(tau):
+    """_relu masks max(z, 0) > tau, in place with out=; the values and
+    sign bits are those of max(z, 0) masked by z > tau."""
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, tau, -tau,
+               np.nextafter(tau, np.inf), np.nextafter(tau, -np.inf)]
+    z = np.concatenate([special, np.random.default_rng(5).normal(0, 2, 400)])
+    want = np.maximum(z, 0.0)
+    if tau > 0.0:
+        want *= z > tau
+    in_place = z.copy()
+    for got in (_relu(z, tau), _relu(in_place, tau, out=in_place)):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got is in_place
+
+
 @pytest.mark.parametrize("rows", [GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
                                   GRAM_BLOCK_ROWS + 1, 20_000])
 @pytest.mark.parametrize("tau", [0.0, 0.3])

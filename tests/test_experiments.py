@@ -263,14 +263,17 @@ def pooled_config(kind: str, workers: int):
         "ablate_overparam": {"ablate": {"factors": [1, 2]}},
         "ablate_finite": {"ablate": {"finite_sizes": [32]}},
         "lottery": {"lottery": {"retrain_epochs": 1}},
+        "verify_identity": {"verify": {"n_trials": 3}},
+        "psi_check": {"psi": {"n": 2000}},
+        "falloff_probe": {"falloff": {"dim": 6, "scales": [0.1, 0.2, 0.3],
+                                      "n": 20000, "n_directions": 2}},
     }.get(kind, {}))
     return make_config(data)
 
 
-@pytest.mark.parametrize("kind", [
-    "train", "bn_audit", "ablate_size", "ablate_overparam", "ablate_finite",
-    "lottery", "overparam_grid",
-])
+@pytest.mark.parametrize(
+    "kind", _validator().schema["properties"]["kind"]["enum"],
+)
 def test_parallel_matches_serial(kind):
     logs = []
     for workers in (1, 2):
@@ -295,6 +298,8 @@ def test_parallel_matches_serial(kind):
         ]
     elif kind == "overparam_grid":
         assert serial.tables["monitors"]
+    else:
+        assert {r["seed"] for r in serial.rows} == {0, 1}
 
 
 def test_merged_joins_unit_logs_in_unit_order():
@@ -624,6 +629,19 @@ def test_verify_identity_passes_and_reports():
     assert all(r["residual"] < 1e-10 for r in log.rows)
 
 
+def test_verify_identity_runs_every_seed():
+    def rows(seeds):
+        return run_experiment(make_config({
+            "kind": "verify_identity", "seeds": seeds,
+            "verify": {"n_trials": 4},
+        })).rows
+
+    both = rows([0, 1])
+    assert len(both) == 2 * 4
+    assert both[:4] == rows([0])
+    assert both[4:] == rows([1])
+
+
 def test_verify_identity_fails_at_absurd_tolerance():
     cfg = make_config({
         "kind": "verify_identity", "seeds": [0],
@@ -715,17 +733,16 @@ def test_grid_single_filter_runs(mode):
 
 
 def test_cell_ledger_rejects_silent_target_naming_the_cell():
-    grid = dict(tiny_grid().grid, tau=50.0, probe_n=512)
+    cfg = tiny_grid(grid={"tau": 50.0, "probe_n": 512})
     w_star, v_star = reduced_teacher(np.random.default_rng(0), 5, 4, 3)
     state = mixed_two_layer_init(np.random.default_rng(1), w_star, v_star,
                                  8, 10.0, 10.0, 0.05, tau=50.0)
     with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
-        _measure_cell_ledger(state, grid, 0, "x2_pw10_pv10", 1.0)
+        _measure_cell_ledger(state, cfg.grid, 0, "x2_pw10_pv10", 1.0)
     # the same error crosses the worker pool from a cell's first-seed unit
     payloads = [
-        {"grid": grid, "cell_index": ci, "key": "x2_pw10_pv10", "seed": 0,
-         "overparam": 2, "p_w": 10.0, "p_v": 10.0, "detail": True,
-         "mode": "free-run", "c0_hat": 1.0}
+        (cfg, {"cell_index": ci, "seed": 0, "c0_hat": 1.0,
+               "tags": {"overparam": 2, "p_w": 10.0, "p_v": 10.0}})
         for ci in range(2)
     ]
     with pytest.raises(DegenerateBatchError, match="cell x2_pw10_pv10"):
