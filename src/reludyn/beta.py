@@ -15,7 +15,8 @@ sigma(x) = sigma'(x) * x property of ReLU, so it is only defined for
 networks without batch normalization.
 
 psi_d estimates the joint firing probability of two filters on Gaussian
-inputs with the gate kernel and stderr formula of the reduced dynamics.
+inputs with the gate kernel and stderr formula of the reduced dynamics,
+streaming its rows through teachers.batch_blocks like the fall-off probe.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ import numpy as np
 from .dynamics import _gate, _stderr
 from .errors import ConfigurationError, PreconditionError
 from .net import ForwardTrace, GradientSet, Network
-from .teachers import GausStream, next_batch
-
-PSI_BATCH = 65536
+from .teachers import GausStream, batch_blocks
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,11 @@ def verify_identity(betas: BetaTensors, trace_s: ForwardTrace,
 def psi_d(w, w_p, stream: GausStream, n: int, tau: float = 0.0):
     """Joint firing probability of two filters, with standard error.
 
-    Draws n rows in batches of at most PSI_BATCH.  The products of 0/1
-    gates satisfy p * p == p, so the second moment equals the mean and
-    the stderr follows from the mean alone.
+    Draws n rows in the blocks of teachers.batch_blocks, the block loop
+    the fall-off probe shares.  Each block adds an exact integer count of
+    joint firings, so the estimate has the same bits for any block size.
+    The products of 0/1 gates satisfy p * p == p, so the second moment
+    equals the mean and the stderr follows from the mean alone.
     """
     w = np.asarray(w, dtype=float)
     w_p = np.asarray(w_p, dtype=float)
@@ -175,11 +176,7 @@ def psi_d(w, w_p, stream: GausStream, n: int, tau: float = 0.0):
     if n < 2:
         raise PreconditionError("need at least two samples")
     s1 = 0.0
-    done = 0
-    while done < n:
-        b = min(PSI_BATCH, n - done)
-        x = next_batch(stream, b)
+    for x in batch_blocks(stream, n):
         s1 += (_gate(x @ w, tau) * _gate(x @ w_p, tau)).sum()
-        done += b
     mean = s1 / n
     return float(mean), float(_stderr(mean, mean, n))

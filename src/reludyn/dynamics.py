@@ -53,13 +53,16 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .teachers import GausStream, next_batch
+from .teachers import GausStream, batch_blocks, next_batch
 
 NORM_FLOOR = 1e-6
 # integers up to 2**24 are exact in float32 (24-bit significand)
 EXACT_COUNT_ROWS = 2**24
 # rows per block of self_moments' gate Gram, so no full gate matrix exists
 GRAM_BLOCK_ROWS = 2048
+# largest mixing factor of mixed_two_layer_init: (1 + MAX_MIXING)**2 is
+# finite, so no mixed column's norm overflows
+MAX_MIXING = 1e150
 
 
 # ------------------------------------------------------------------ moments
@@ -686,9 +689,19 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
     difference estimator sees the mismatch, not independent noise.
     Points whose difference sits within three standard errors of zero,
     or is exactly zero (a zero stderr clears that test), are dropped from
-    the fit (and from the constant estimate).  A filter that never fires
-    on the batch has no moment to fall off from and raises
-    DegenerateBatchError.
+    the fit (and from the constant estimate).  The fit needs kept points
+    at two scales or more: a point's distance depends on its scale
+    alone.  A filter that never fires on the batch has no moment to fall
+    off from and raises DegenerateBatchError.
+
+    The batch streams through teachers.batch_blocks, the block loop
+    psi_d shares, so at most one block of it is held at a time.  Each
+    block projects onto every filter with a matrix-vector product of its
+    own, and each filter's difference q = f (f* - f) gets the block's
+    mean and centered sum of squares, combined in block order by the
+    pairwise update of Chan et al.  Within one block that is the
+    one-batch arithmetic, sum(q) / n and sqrt(sum((q - mean)^2) / n),
+    bit for bit; over several blocks it agrees to roundoff.
     """
     w_star = np.asarray(w_star, dtype=float)
     norm = np.linalg.norm(w_star)
@@ -696,16 +709,8 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
         raise PreconditionError("needs a nonzero filter")
     if any(s < 0 or s > 0.5 for s in scales):
         raise PreconditionError("perturbation scales must lie in [0, 0.5]")
-    x = next_batch(stream, n)
-    f_star = _acts(x, w_star, tau)
-    l_ref = float((f_star * f_star).mean())
-    if l_ref == 0.0:
-        raise DegenerateBatchError(
-            f"fall-off probe: the filter never fires on the {n}-row batch "
-            f"(tau={tau:g})"
-        )
     rng = np.random.default_rng(seed)
-    dists, diffs, errs = [], [], []
+    filters = []
     for _ in range(n_directions):
         while True:
             u = rng.normal(size=w_star.shape)
@@ -717,21 +722,47 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
         for s in scales:
             w = w_star + s * norm * u
             w *= norm / np.linalg.norm(w)
+            filters.append(w)
+    # per filter: the mean of q over the rows so far, and its centered
+    # sum of squares
+    rows, sq_ref = 0, 0.0
+    diffs, m2s = np.zeros(len(filters)), np.zeros(len(filters))
+    for x in batch_blocks(stream, n):
+        b = x.shape[0]
+        total = rows + b
+        f_star = _acts(x, w_star, tau)
+        sq_ref += np.add.reduce(f_star * f_star)
+        for i, w in enumerate(filters):
             f = _acts(x, w, tau)
-            q = f * (f_star - f)
-            diff = float(q.mean())
-            err = float(q.std() / math.sqrt(n))
-            dists.append(float(np.linalg.norm(w - w_star)))
-            diffs.append(diff)
-            errs.append(err)
-    dists = np.array(dists)
-    diffs = np.array(diffs)
-    errs = np.array(errs)
+            q = f_star - f
+            q *= f
+            mean = np.add.reduce(q) / b
+            # q becomes its squared deviations in place, as numpy's var
+            # computes them
+            q -= mean
+            q *= q
+            # the first block's (mean, m2) pass through exactly: b / total
+            # is 1.0 and the cross term is 0.0
+            delta = mean - diffs[i]
+            diffs[i] += delta * (b / total)
+            m2s[i] += np.add.reduce(q) + delta * delta * (rows * b / total)
+        rows = total
+    l_ref = float(sq_ref / n)
+    if l_ref == 0.0:
+        raise DegenerateBatchError(
+            f"fall-off probe: the filter never fires on the {n}-row batch "
+            f"(tau={tau:g})"
+        )
+    dists = np.array([float(np.linalg.norm(w - w_star)) for w in filters])
+    errs = np.sqrt(m2s / n) / math.sqrt(n)
     kept = np.abs(diffs) >= 3.0 * errs
     kept &= diffs != 0.0
     kept &= dists > 0.0
-    if kept.sum() < 2:
-        raise NumericError("not enough scales cleared the noise floor")
+    # a set, not np.unique, which would import numpy.ma (~1 MB)
+    if len(set(np.tile(scales, n_directions)[kept].tolist())) < 2:
+        raise NumericError(
+            "fewer than two perturbation scales cleared the noise floor"
+        )
     slope = np.polyfit(np.log(dists[kept]), np.log(np.abs(diffs[kept])), 1)[0]
     c0 = float(np.max(np.abs(diffs[kept]) / (l_ref * dists[kept] ** 2)))
     return FalloffProbe(
@@ -760,6 +791,20 @@ def reduced_teacher(rng: np.random.Generator, dim: int, m: int,
     return w_star, v_star
 
 
+def check_mixing_factors(p_w: float, p_v: float) -> None:
+    """Both factors of mixed_two_layer_init lie in [0, MAX_MIXING].
+
+    Above the bound a unit-norm column of p * target + noise has a norm
+    whose square can overflow; far below it the mix already rounds to the
+    target itself.
+    """
+    for name, p in (("p_w", p_w), ("p_v", p_v)):
+        if not 0.0 <= p <= MAX_MIXING:
+            raise ConfigurationError(
+                f"mixing factor {name} = {p:g} is outside [0, {MAX_MIXING:g}]"
+            )
+
+
 def mixed_two_layer_init(rng: np.random.Generator, w_star: np.ndarray,
                          v_star: np.ndarray, n: int, p_w: float, p_v: float,
                          eta: float, tau: float = 0.0) -> TwoLayerState:
@@ -774,8 +819,7 @@ def mixed_two_layer_init(rng: np.random.Generator, w_star: np.ndarray,
     c = v_star.shape[1]
     if n < m:
         raise ConfigurationError("student must be at least teacher width")
-    if p_w < 0 or p_v < 0:
-        raise ConfigurationError("mixing factors must be non-negative")
+    check_mixing_factors(p_w, p_v)
     w_u = _column_normalize(
         p_w * w_star + _column_normalize(rng.normal(size=(d, m)))
     )

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,6 +28,7 @@ import numpy as np
 
 from .beta import compute_beta, psi_d, verify_identity
 from .dynamics import (
+    check_mixing_factors,
     column_angles,
     geodesic_slopes,
     mixed_two_layer_init,
@@ -77,6 +79,11 @@ DIVERGENCE_LOSS = 1e6
 # A grid unit whose recorded fan-out row norm exceeds this has diverged:
 # the teacher's fan-out rows have norm at most sqrt(outputs).
 DIVERGENCE_NORM = 1e6
+# BLAS reads its thread count from these once, when numpy loads it; the
+# count changes the summation order of matrix products, hence last bits
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
 
 _KIND_OVERRIDES: dict = {
     "bn_audit": {"student": {"bn_mode": "linear_relu_bn"}},
@@ -216,6 +223,14 @@ def make_config(data: dict) -> ExperimentConfig:
                 f"config.grid.cells: two cells share the cell key {repeated[0]} "
                 "(p_w and p_v are keyed to 6 significant digits)"
             )
+        # checked before the run measures anything; the first overparam's
+        # keys name the cells
+        for key, (p_w, p_v) in zip(keys, g["cells"]):
+            try:
+                check_mixing_factors(p_w, p_v)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"config.grid.cells: cell {key}: {exc}") from None
     typed["seeds"] = tuple(typed["seeds"])
     return ExperimentConfig(**typed, raw=merged, config_hash=config_hash(merged))
 
@@ -229,8 +244,9 @@ class RunLog:
     by phase name) are reported in meta only and never enter a CSV.
     Each pooled work unit returns one with its rows, tables, ledgers,
     assumptions and timings, and its runner merges them with _merged and
-    adds the aggregates; run_experiment sets kind, config, config_hash
-    and wall_clock.  failed is read from the rows: any ok == 0 fails.
+    adds the aggregates; run_experiment sets kind, config, config_hash,
+    wall_clock and the environment it ran in.  failed is read from the
+    rows: any ok == 0 fails.
     """
 
     rows: list[dict]
@@ -243,6 +259,7 @@ class RunLog:
     config: dict = field(default_factory=dict)
     config_hash: str = ""
     wall_clock: float = 0.0
+    environment: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -293,7 +310,7 @@ def _aggregate(rows: list[dict], by: tuple[str, ...], stats: str) -> list[dict]:
         agg = dict(zip(by, key))
         agg["n_seeds"] = len({r.get("seed") for r in grp})
         for k in metrics:
-            vals = [r[k] for r in grp if k in r]
+            vals = [r[k] for r in grp if r.get(k) is not None]
             if not vals:
                 continue
             if stats == "minmax":
@@ -388,7 +405,10 @@ def _run_training(teacher: Network, students: list[Network],
                 for h, cps in enumerate(checkpoints[i]):
                     cm = rho_matrix(tr_s.act[h], val_t.act[h])
                     cps.append(cm)
-                    row[f"rho_bar_l{h}"] = float(rho_bar(cm).value)
+                    rb = rho_bar(cm)
+                    # with every teacher node of the layer dead on the
+                    # validation batch there is no correlation: an empty cell
+                    row[f"rho_bar_l{h}"] = rb.value if rb.n_covered else None
                     vr = v_row_norms(nets[i], h)
                     row[f"v_l{h}_min"] = float(vr.min())
                     row[f"v_l{h}_max"] = float(vr.max())
@@ -949,13 +969,26 @@ _RUNNERS = {
 }
 
 
+def _environment() -> dict:
+    """Interpreter and numpy versions, the BLAS thread variables as this
+    process sees them (None when unset) and the CPU count."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_thread_vars": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """Dispatch a validated config to its runner and stamp the log with
-    the config's identity and the runner's wall-clock time."""
+    the config's identity, the runner's wall-clock time and the
+    environment."""
     t0 = time.perf_counter()
     log = _RUNNERS[cfg.kind](cfg)
     log.wall_clock = time.perf_counter() - t0
     log.kind, log.config, log.config_hash = cfg.kind, cfg.raw, cfg.config_hash
+    log.environment = _environment()
     return log
 
 
@@ -1034,6 +1067,7 @@ def emit_reports(log: RunLog, out_dir, plots: bool = False) -> list[Path]:
         "failed": log.failed,
         "row_count": len(log.rows),
         "wall_clock_s": round(log.wall_clock, 3),
+        "environment": log.environment,
     }
     if log.timings:
         meta["timings_s"] = {k: round(v, 3) for k, v in log.timings.items()}

@@ -18,6 +18,9 @@ from .errors import ConfigurationError, PreconditionError
 from .net import Network, NetworkSpec, build_network, forward
 
 REJECTION_CAP = 1000
+# rows per block of the large-n probes (psi_d, the fall-off probe): an
+# n-row estimate holds one block of the batch at a time
+PROBE_BLOCK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,22 @@ def next_batch(stream: GausStream, batch_size: int) -> np.ndarray:
             stream._order = stream._rng.permutation(stream.n_samples)
             stream._pos = 0
     return rows
+
+
+def batch_blocks(stream: GausStream, n: int):
+    """The next n rows of the stream, as consecutive blocks of at most
+    PROBE_BLOCK_ROWS rows.
+
+    The stream hands out the same rows in the same order as one
+    next_batch(stream, n) would; only the batch is never held whole.
+    """
+    if n < 1:
+        raise PreconditionError("batch_size must be >= 1")
+    done = 0
+    while done < n:
+        b = min(PROBE_BLOCK_ROWS, n - done)
+        yield next_batch(stream, b)
+        done += b
 
 
 def teacher_labels(teacher: Network, batch: np.ndarray) -> np.ndarray:

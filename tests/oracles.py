@@ -4,13 +4,13 @@ Everything here is deliberately written without reusing the package's
 backward pass or constants code: finite differences through the forward
 evaluation, brute-force 2D Monte Carlo, arc-cosine kernel closed forms,
 the two-matmul mean±stderr moment formula, a per-kernel geodesic slope
-loop, and a second, separately coded arithmetic path for the
-convergence-constant ledgers.  ``forward_reference`` and
-``backward_reference`` keep the step's earlier form, one branch per BN
-placement, as the bit-exact reference for ``net.forward`` and
-``net.backward``; their BN statistics, ``bn_backward_reference`` and
-``rho_matrix_reference`` make the separate numpy mean/var/std passes the
-one-pass code must match bit for bit.
+loop, the one-batch fall-off probe, and a second, separately coded
+arithmetic path for the convergence-constant ledgers.
+``forward_reference`` and ``backward_reference`` keep the step's earlier
+form, one branch per BN placement, as the bit-exact reference for
+``net.forward`` and ``net.backward``; their BN statistics,
+``bn_backward_reference`` and ``rho_matrix_reference`` make the separate
+numpy mean/var/std passes the one-pass code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ import math
 
 import numpy as np
 
+from reludyn.dynamics import FalloffProbe
 from reludyn.errors import (
     ConfigurationError,
     DegenerateBatchError,
+    NumericError,
     PreconditionError,
 )
 from reludyn.net import (
@@ -422,6 +424,52 @@ def slope_on_geodesics_reference(w_starts: np.ndarray, w_ends: np.ndarray,
                 continue
             worst = max(worst, abs(vals[i + 1] - vals[i]) / (vals[i] * dist))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# one-batch fall-off probe
+# ---------------------------------------------------------------------------
+
+def falloff_probe_reference(w_star: np.ndarray, scales: tuple[float, ...],
+                            stream, n: int, n_directions: int = 4,
+                            seed: int = 0, tau: float = 0.0) -> FalloffProbe:
+    """The fall-off probe over one n-row batch held whole: per filter, the
+    numpy mean of q = f (f* - f) and its std over sqrt(n).  The streamed
+    probe must match it bit for bit within one block and to roundoff over
+    several."""
+    w_star = np.asarray(w_star, dtype=float)
+    norm = np.linalg.norm(w_star)
+    x = next_batch(stream, n)
+    f_star = act_feature(x, w_star, tau)
+    l_ref = float((f_star * f_star).mean())
+    if l_ref == 0.0:
+        raise DegenerateBatchError("the filter never fires")
+    rng = np.random.default_rng(seed)
+    dists, diffs, errs = [], [], []
+    for _ in range(n_directions):
+        while True:
+            u = rng.normal(size=w_star.shape)
+            u -= w_star * (w_star @ u) / norm**2
+            u_norm = float(np.linalg.norm(u))
+            if u_norm > 1e-9:
+                break
+        u /= u_norm
+        for s in scales:
+            w = w_star + s * norm * u
+            w *= norm / np.linalg.norm(w)
+            f = act_feature(x, w, tau)
+            q = f * (f_star - f)
+            dists.append(float(np.linalg.norm(w - w_star)))
+            diffs.append(float(q.mean()))
+            errs.append(float(q.std() / math.sqrt(n)))
+    dists, diffs, errs = np.array(dists), np.array(diffs), np.array(errs)
+    kept = (np.abs(diffs) >= 3.0 * errs) & (diffs != 0.0) & (dists > 0.0)
+    if kept.sum() < 2:
+        raise NumericError("not enough scales cleared the noise floor")
+    slope = np.polyfit(np.log(dists[kept]), np.log(np.abs(diffs[kept])), 1)[0]
+    c0 = float(np.max(np.abs(diffs[kept]) / (l_ref * dists[kept] ** 2)))
+    return FalloffProbe(exponent=float(slope), c0_hat=c0, dists=dists,
+                        diffs=diffs, stderrs=errs, kept=kept)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import random_network
+from reludyn import teachers
 from reludyn.beta import compute_beta, psi_d, verify_identity
 from reludyn.errors import ConfigurationError, PreconditionError
 from reludyn.net import NetworkSpec, backward, build_network, forward
@@ -226,6 +227,16 @@ def test_psi_d_bit_equal_to_boolean_reference(seed, n, dim, tau, pair):
     ref = psi_d_reference(w, w_p, GausStream(dim=dim, std=1.0, seed=seed),
                           n, tau)
     assert got == ref
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_psi_d_bits_do_not_depend_on_the_block_size(monkeypatch, tau):
+    # 70,000 rows: two blocks at the default size, 70 at 1000 rows
+    w, w_p = np.array([1.0, 0.4, -0.2]), np.array([0.3, -1.0, 0.6])
+    default = psi_d(w, w_p, GausStream(dim=3, std=1.0, seed=21), 70_000, tau=tau)
+    monkeypatch.setattr(teachers, "PROBE_BLOCK_ROWS", 1000)
+    small = psi_d(w, w_p, GausStream(dim=3, std=1.0, seed=21), 70_000, tau=tau)
+    assert small == default
 
 
 def test_psi_stderr_scales_with_n():

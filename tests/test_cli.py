@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +248,64 @@ def test_grid_noise_floor_exits_three_without_traceback(tmp_path, capsys):
 
 def test_grid_zero_differences_do_not_clear_noise_floor(tmp_path, capsys):
     assert_noise_floor_exit(tmp_path, capsys, TINY_GRID)
+
+
+# the dim-2 grid at 2000 probe rows: only the scale-0.4 points of the c0
+# probe clear the noise floor, all at one distance, so no slope is fitted
+DIM2_GRID = {
+    "dim": 2, "teacher_width": 1, "outputs": 1, "overparams": [1],
+    "cells": [[10.0, 0.0]], "iterations": 1, "n_mc": 2, "probe_n": 2000,
+}
+
+
+def test_grid_fit_at_one_distance_exits_three_without_warning(tmp_path,
+                                                              capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_noise_floor_exit(tmp_path, capsys, DIM2_GRID)
+
+
+@pytest.mark.parametrize("cell, name", [([1e308, 0.0], "p_w"),
+                                        ([0.0, 1e308], "p_v")])
+def test_grid_overflowing_mixing_factor_is_a_config_error(tmp_path, capsys,
+                                                          cell, name):
+    cfg = write_config(tmp_path, {"grid": dict(DIM2_GRID, cells=[cell])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["overparam-grid", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"mixing factor {name} = 1e+308" in err
+    assert "cell x1_" in err
+
+
+# every teacher node is dead on the validation batch, so no layer-0
+# correlation exists; each kind used to write it as nan on exit 0
+DEAD_TEACHER = {
+    "seeds": [0], "epochs": 1, "batches_per_epoch": 2, "batch_size": 4,
+    "teacher": {"layer_widths": [4, 3, 2], "bias_range": [-1000, -900]},
+    "student": {"overparam_factor": 1}, "stream": {"std": 1.0},
+}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", {}),
+    ("lottery", {"kind": "lottery"}),
+    ("bn-audit", {}),
+    ("ablate", {"kind": "ablate_finite", "ablate": {"finite_sizes": [8]}}),
+])
+def test_dead_teacher_layer_writes_empty_cells_not_nan(tmp_path, command,
+                                                       extra):
+    cfg = write_config(tmp_path, dict(DEAD_TEACHER, **extra))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    for path in out.glob("*.csv"):
+        assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), \
+            path.name
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    col = header.split(",").index("rho_bar_l0")
+    assert rows and all(row.split(",")[col] == "" for row in rows)
 
 
 def test_grid_silent_filters_exit_three(tmp_path, capsys):

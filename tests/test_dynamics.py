@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,18 +11,21 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     act_feature,
     arccos_kernels,
+    falloff_probe_reference,
     gate_feature,
     moment_with_err,
     single_layer_ledger_oracle,
     slope_on_geodesics_reference,
     two_layer_ledger_oracle,
 )
+from reludyn import teachers
 from reludyn.dynamics import (
     ConstantLedger,
     SingleLayerState,
     TwoLayerState,
     EXACT_COUNT_ROWS,
     GRAM_BLOCK_ROWS,
+    MAX_MIXING,
     _count_dtype,
     _gate,
     _gram_mean,
@@ -51,7 +55,7 @@ from reludyn.errors import (
     NumericError,
     PreconditionError,
 )
-from reludyn.teachers import GausStream, next_batch
+from reludyn.teachers import PROBE_BLOCK_ROWS, GausStream, next_batch
 
 
 def simplex_filters(dim: int, m: int) -> np.ndarray:
@@ -612,6 +616,26 @@ def test_two_layer_reduces_to_single_with_unit_top():
     assert np.array_equal(after2.w, after1.w)
 
 
+@pytest.mark.parametrize("p_w, p_v, name", [
+    (-1.0, 0.0, "p_w"), (1e308, 0.0, "p_w"), (0.0, 1e308, "p_v"),
+])
+def test_mixed_init_names_a_factor_out_of_range(p_w, p_v, name):
+    w_star, v_star = reduced_teacher(np.random.default_rng(0), 3, 2, 1)
+    with pytest.raises(ConfigurationError, match=f"mixing factor {name} "):
+        mixed_two_layer_init(np.random.default_rng(1), w_star, v_star, 4,
+                             p_w, p_v, eta=0.05)
+
+
+def test_mixed_init_at_the_largest_factor_leans_onto_the_teacher():
+    w_star, v_star = reduced_teacher(np.random.default_rng(0), 3, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = mixed_two_layer_init(np.random.default_rng(1), w_star, v_star,
+                                     4, MAX_MIXING, MAX_MIXING, eta=0.05)
+    np.testing.assert_allclose(state.w[:, :2], w_star, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(state.v[:2], v_star, rtol=0, atol=1e-15)
+
+
 def _gap_trajectory(p_w, p_v, steps, seed=2024):
     rng = np.random.default_rng(seed)
     w_star, v_star = reduced_teacher(rng, 10, 20, 30)
@@ -746,6 +770,70 @@ def test_falloff_zero_perturbation_is_exact_zero():
     assert zero_points.sum() == 2
     assert np.all(probe.diffs[zero_points] == 0.0)
     assert not np.any(probe.kept[zero_points])
+
+
+def test_falloff_zero_perturbation_is_exact_zero_over_blocks(monkeypatch):
+    # the same 50,000 rows in 12 blocks of 4096 and a ragged one
+    monkeypatch.setattr(teachers, "PROBE_BLOCK_ROWS", 4096)
+    test_falloff_zero_perturbation_is_exact_zero()
+
+
+def _falloff_case(dim, n, scales, seed):
+    """A unit teacher filter, its stream and the probe's arguments."""
+    w_star = np.random.default_rng(seed).normal(size=dim)
+    w_star /= np.linalg.norm(w_star)
+    return (w_star, scales, GausStream(dim=dim, std=1.0, seed=seed + 1), n)
+
+
+GRID_SCALES = (0.05, 0.1, 0.2, 0.4)
+FIT_SCALES = (0.02, 0.05, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("dim, n, tau, scales", [
+    # the grid's c0 probe at its default probe_n, plain and thresholded
+    (10, 20_000, 0.0, GRID_SCALES),
+    (10, 20_000, 0.3, GRID_SCALES),
+    (20, PROBE_BLOCK_ROWS, 0.0, FIT_SCALES),
+    (12, 50_000, 0.0, (0.0,) + FIT_SCALES),
+])
+def test_falloff_within_one_block_is_the_one_batch_probe(dim, n, tau, scales):
+    seed = dim + n
+    got = quadratic_falloff_probe(*_falloff_case(dim, n, scales, seed),
+                                  n_directions=4, seed=5, tau=tau)
+    ref = falloff_probe_reference(*_falloff_case(dim, n, scales, seed),
+                                  n_directions=4, seed=5, tau=tau)
+    assert got.exponent == ref.exponent
+    assert got.c0_hat == ref.c0_hat
+    for name in ("dists", "diffs", "stderrs", "kept"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_falloff_over_blocks_agrees_with_the_one_batch_probe():
+    n = 3 * PROBE_BLOCK_ROWS + 777
+    got = quadratic_falloff_probe(*_falloff_case(20, n, FIT_SCALES, 9),
+                                  n_directions=4, seed=5)
+    ref = falloff_probe_reference(*_falloff_case(20, n, FIT_SCALES, 9),
+                                  n_directions=4, seed=5)
+    assert np.array_equal(got.kept, ref.kept)
+    assert np.array_equal(got.dists, ref.dists)
+    for a, b in ((got.diffs, ref.diffs), (got.stderrs, ref.stderrs),
+                 (got.exponent, ref.exponent), (got.c0_hat, ref.c0_hat)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def test_falloff_memory_stays_within_a_few_blocks(monkeypatch):
+    block, dim = 8192, 20
+    monkeypatch.setattr(teachers, "PROBE_BLOCK_ROWS", block)
+    case = _falloff_case(dim, 8 * block, FIT_SCALES, 4)
+    tracemalloc.start()
+    try:
+        quadratic_falloff_probe(*case, n_directions=4, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = block * dim * 8
+    assert peak < 3 * block_bytes, peak / block_bytes
 
 
 def test_falloff_exponent_near_two():

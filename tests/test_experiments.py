@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import platform
 
 import jsonschema
 import numpy as np
@@ -12,6 +14,7 @@ from reludyn import experiments
 from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
 from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
+    BLAS_THREAD_VARS,
     DIVERGENCE_NORM,
     RunLog,
     _grid_unit,
@@ -889,6 +892,24 @@ def test_training_meta_records_phase_timings_outside_summary(
     meta = json.loads((tmp_path / "timed" / "meta.json").read_text())
     assert set(meta.pop("timings_s")) == phases
     assert meta == json.loads((tmp_path / "untimed" / "meta.json").read_text())
+
+
+def test_meta_records_the_environment_outside_summary(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = make_config({"kind": "verify_identity", "seeds": [0],
+                       "verify": {"n_trials": 1}})
+    emit_reports(run_experiment(cfg), tmp_path)
+    env = json.loads((tmp_path / "meta.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert set(env["blas_thread_vars"]) == set(BLAS_THREAD_VARS)
+    assert len(BLAS_THREAD_VARS) == 5
+    assert env["blas_thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_thread_vars"]["MKL_NUM_THREADS"] is None
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+    assert not {"python", "numpy", "cpu_count"} & set(header.split(","))
 
 
 def test_emit_handles_nonfinite_ledger_values(tmp_path):
