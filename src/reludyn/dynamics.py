@@ -53,16 +53,18 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .teachers import GausStream, batch_blocks, next_batch
+from .teachers import (
+    GausStream,
+    batch_blocks,
+    check_mixing_factors,
+    next_batch,
+)
 
 NORM_FLOOR = 1e-6
 # integers up to 2**24 are exact in float32 (24-bit significand)
 EXACT_COUNT_ROWS = 2**24
 # rows per block of self_moments' gate Gram, so no full gate matrix exists
 GRAM_BLOCK_ROWS = 2048
-# largest mixing factor of mixed_two_layer_init: (1 + MAX_MIXING)**2 is
-# finite, so no mixed column's norm overflows
-MAX_MIXING = 1e150
 
 
 # ------------------------------------------------------------------ moments
@@ -789,20 +791,6 @@ def reduced_teacher(rng: np.random.Generator, dim: int, m: int,
     w_star = _column_normalize(rng.normal(size=(dim, m)))
     v_star = _column_normalize(rng.normal(size=(m, c)))
     return w_star, v_star
-
-
-def check_mixing_factors(p_w: float, p_v: float) -> None:
-    """Both factors of mixed_two_layer_init lie in [0, MAX_MIXING].
-
-    Above the bound a unit-norm column of p * target + noise has a norm
-    whose square can overflow; far below it the mix already rounds to the
-    target itself.
-    """
-    for name, p in (("p_w", p_w), ("p_v", p_v)):
-        if not 0.0 <= p <= MAX_MIXING:
-            raise ConfigurationError(
-                f"mixing factor {name} = {p:g} is outside [0, {MAX_MIXING:g}]"
-            )
 
 
 def mixed_two_layer_init(rng: np.random.Generator, w_star: np.ndarray,

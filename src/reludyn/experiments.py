@@ -17,6 +17,7 @@ import json
 import math
 import os
 import platform
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -28,7 +29,6 @@ import numpy as np
 
 from .beta import compute_beta, psi_d, verify_identity
 from .dynamics import (
-    check_mixing_factors,
     column_angles,
     geodesic_slopes,
     mixed_two_layer_init,
@@ -61,6 +61,7 @@ from .teachers import (
     GausStream,
     StudentInit,
     TeacherSpec,
+    check_mixing_factors,
     make_student,
     make_teacher,
     next_batch,
@@ -245,8 +246,8 @@ class RunLog:
     Each pooled work unit returns one with its rows, tables, ledgers,
     assumptions and timings, and its runner merges them with _merged and
     adds the aggregates; run_experiment sets kind, config, config_hash,
-    wall_clock and the environment it ran in.  failed is read from the
-    rows: any ok == 0 fails.
+    wall_clock, the environment it ran in and the peak resident memory.
+    failed is read from the rows: any ok == 0 fails.
     """
 
     rows: list[dict]
@@ -260,6 +261,7 @@ class RunLog:
     config_hash: str = ""
     wall_clock: float = 0.0
     environment: dict = field(default_factory=dict)
+    peak_rss_mb: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -347,6 +349,34 @@ def _derive_seed(*parts: int) -> int:
 # ------------------------------------------------------ training runners
 
 
+def _checkpoint(net: Network, val_x: np.ndarray, val_acts: list[np.ndarray],
+                epoch: int, checkpoints: list[list]) -> dict:
+    """One student's epoch row on the validation batch; appends each
+    hidden layer's correlation matrix to that layer's checkpoint list.
+
+    Only the student's activations outlive its forward pass, and only
+    until this returns, so a run holds one checkpoint's activations at a
+    time.  At the top layer the activation is the output.  diverged is
+    1 when the loss is non-finite or above the divergence cutoff.
+    """
+    acts = forward(net, val_x).act
+    loss = float(squared_loss(acts[-1], val_acts[-1]))
+    row = {"epoch": epoch, "loss": loss,
+           "diverged": int(not math.isfinite(loss) or loss > DIVERGENCE_LOSS)}
+    for h, cps in enumerate(checkpoints):
+        cm = rho_matrix(acts[h], val_acts[h])
+        cps.append(cm)
+        rb = rho_bar(cm)
+        # with every teacher node of the layer dead on the validation
+        # batch there is no correlation: an empty cell
+        row[f"rho_bar_l{h}"] = rb.value if rb.n_covered else None
+        vr = v_row_norms(net, h)
+        row[f"v_l{h}_min"] = float(vr.min())
+        row[f"v_l{h}_max"] = float(vr.max())
+        row[f"v_l{h}_mean"] = float(vr.mean())
+    return row
+
+
 def _run_training(teacher: Network, students: list[Network],
                   cfg: ExperimentConfig, unit: dict, epochs: int,
                   stream_seed: int) -> list[tuple]:
@@ -371,7 +401,7 @@ def _run_training(teacher: Network, students: list[Network],
                    seed=unit["seed"] + VAL_STREAM_OFF),
         VAL_BATCH,
     )
-    val_t = forward(teacher, val_x)
+    val_acts = forward(teacher, val_x).act
     eta, batch_size, n_batches = cfg.eta, cfg.batch_size, cfg.batches_per_epoch
     nets = list(students)
     rows: list[list[dict]] = [[] for _ in nets]
@@ -396,23 +426,10 @@ def _run_training(teacher: Network, students: list[Network],
                 if not stepping:
                     break
             for i in live:
-                tr_s = forward(nets[i], val_x)
-                loss = float(squared_loss(tr_s.outputs, val_t.outputs))
-                if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                    diverged[i] = True
-                row = {"epoch": epoch, "loss": loss,
-                       "diverged": int(diverged[i])}
-                for h, cps in enumerate(checkpoints[i]):
-                    cm = rho_matrix(tr_s.act[h], val_t.act[h])
-                    cps.append(cm)
-                    rb = rho_bar(cm)
-                    # with every teacher node of the layer dead on the
-                    # validation batch there is no correlation: an empty cell
-                    row[f"rho_bar_l{h}"] = rb.value if rb.n_covered else None
-                    vr = v_row_norms(nets[i], h)
-                    row[f"v_l{h}_min"] = float(vr.min())
-                    row[f"v_l{h}_max"] = float(vr.max())
-                    row[f"v_l{h}_mean"] = float(vr.mean())
+                row = _checkpoint(nets[i], val_x, val_acts, epoch,
+                                  checkpoints[i])
+                diverged[i] = diverged[i] or bool(row["diverged"])
+                row["diverged"] = int(diverged[i])
                 rows[i].append(row)
             live = [i for i in live if not diverged[i]]
             if not live:
@@ -980,15 +997,29 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb() -> dict:
+    """Peak resident memory so far, in MB, of this process ("main") and
+    of its largest waited-for child ("workers", None when there was none).
+
+    Both are process-lifetime peaks: they include whatever ran before the
+    experiment in the same process.
+    """
+    def mb(who):
+        return round(resource.getrusage(who).ru_maxrss / 1024, 1)  # KB
+    return {"main": mb(resource.RUSAGE_SELF),
+            "workers": mb(resource.RUSAGE_CHILDREN) or None}
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """Dispatch a validated config to its runner and stamp the log with
-    the config's identity, the runner's wall-clock time and the
-    environment."""
+    the config's identity, the runner's wall-clock time, the environment
+    and the peak resident memory."""
     t0 = time.perf_counter()
     log = _RUNNERS[cfg.kind](cfg)
     log.wall_clock = time.perf_counter() - t0
     log.kind, log.config, log.config_hash = cfg.kind, cfg.raw, cfg.config_hash
     log.environment = _environment()
+    log.peak_rss_mb = _peak_rss_mb()
     return log
 
 
@@ -1068,6 +1099,7 @@ def emit_reports(log: RunLog, out_dir, plots: bool = False) -> list[Path]:
         "row_count": len(log.rows),
         "wall_clock_s": round(log.wall_clock, 3),
         "environment": log.environment,
+        "peak_rss_mb": log.peak_rss_mb,
     }
     if log.timings:
         meta["timings_s"] = {k: round(v, 3) for k, v in log.timings.items()}

@@ -45,6 +45,10 @@ from .errors import (
 BN_MODES = ("none", "linear_relu_bn", "linear_bn_relu")
 BN_EPS = 1e-8
 SIGMA_FLOOR = 1e-12
+# largest batch sum of f_tilde, relative to its Euclidean norm times
+# sqrt(batch), that bn_backward projects off as it stands: the batch mean
+# this puts back is at most RESIDUE_TOL * sqrt(batch) of the gradient
+RESIDUE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -267,17 +271,28 @@ def bn_backward(
     g = np.asarray(g_out, dtype=np.float64)
     if g.shape != site.f_in.shape:
         raise PreconditionError("g_out shape does not match the BN site")
+    n = g.shape[0]
     g_c1 = np.add.reduce(g, 0)
     prod = g * site.f_tilde  # the one temporary of the three products
     g_c0 = np.add.reduce(prod, 0)
-    centered = g - g_c1 / g.shape[0]
+    centered = g - g_c1 / n
     # f_tilde has zero batch sum, so projecting out the ones direction and
     # then the f_tilde direction is an orthogonal projection off span{f, 1};
-    # a channel constant over the batch has f_tilde = 0 and nothing to project
-    ff = np.add.reduce(np.multiply(site.f_tilde, site.f_tilde, out=prod), 0)
-    dot = np.add.reduce(np.multiply(centered, site.f_tilde, out=prod), 0)
+    # a channel constant over the batch has f_tilde = 0 and nothing to
+    # project.  The sum is zero only to the rounding of the batch mean,
+    # which on a channel whose spread is near that rounding is not small
+    # against f_tilde: such a channel projects off its centered f_tilde,
+    # and every other channel keeps its bits
+    f = site.f_tilde
+    ff = np.add.reduce(np.multiply(f, f, out=prod), 0)
+    residue = np.add.reduce(f, 0)
+    off = np.abs(residue) > RESIDUE_TOL * np.sqrt(n * ff)
+    if off.any():
+        f = f - np.where(off, residue / n, 0.0)
+        ff = np.add.reduce(np.multiply(f, f, out=prod), 0)
+    dot = np.add.reduce(np.multiply(centered, f, out=prod), 0)
     coef = np.divide(dot, ff, out=np.zeros_like(ff), where=ff != 0.0)
-    centered -= np.multiply(site.f_tilde, coef, out=prod)
+    centered -= np.multiply(f, coef, out=prod)
     centered *= site.c0 / site.sigma
     return centered, g_c0, g_c1
 

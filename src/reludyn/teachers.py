@@ -21,6 +21,24 @@ REJECTION_CAP = 1000
 # rows per block of the large-n probes (psi_d, the fall-off probe): an
 # n-row estimate holds one block of the batch at a time
 PROBE_BLOCK_ROWS = 65536
+# largest mixing factor of a student init (make_student, the reduced
+# mixed_two_layer_init): (1 + MAX_MIXING)**2 is finite, so no mixed
+# column's norm overflows
+MAX_MIXING = 1e150
+
+
+def check_mixing_factors(p_w: float, p_v: float) -> None:
+    """Both mixing factors of a student init lie in [0, MAX_MIXING].
+
+    Above the bound a unit-norm column of p * target + noise has a norm
+    whose square can overflow; far below it the mix already rounds to the
+    target itself.
+    """
+    for name, p in (("p_w", p_w), ("p_v", p_v)):
+        if not 0.0 <= p <= MAX_MIXING:
+            raise ConfigurationError(
+                f"mixing factor {name} = {p:g} is outside [0, {MAX_MIXING:g}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -43,6 +61,9 @@ class TeacherSpec:
         lo, hi = self.bias_range
         if not lo <= hi:
             raise ConfigurationError("empty bias range")
+        if not math.isfinite(hi - lo):
+            raise ConfigurationError(
+                f"bias range [{lo:g}, {hi:g}] is wider than a float holds")
 
 
 @dataclass(frozen=True)
@@ -55,8 +76,7 @@ class StudentInit:
     def __post_init__(self):
         if self.overparam_factor < 1:
             raise ConfigurationError("overparam factor must be >= 1")
-        if self.p_w < 0 or self.p_v < 0:
-            raise ConfigurationError("proximity factors must be >= 0")
+        check_mixing_factors(self.p_w, self.p_v)
 
 
 def make_teacher(spec: TeacherSpec) -> Network:

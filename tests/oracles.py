@@ -28,6 +28,7 @@ from reludyn.errors import (
 )
 from reludyn.net import (
     BN_EPS,
+    RESIDUE_TOL,
     SIGMA_FLOOR,
     BNSite,
     ForwardTrace,
@@ -155,16 +156,22 @@ def bn_backward_reference(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """bn_backward with separate sum, mean and product passes; a channel
     whose whitened activation is 0 on the whole batch has nothing to
-    project off (coef 0)."""
+    project off (coef 0), and one whose whitened activation's batch sum
+    exceeds RESIDUE_TOL of its norm times sqrt(batch) projects off its
+    centered copy."""
     g = np.asarray(g_out, dtype=np.float64)
     g_c1 = g.sum(axis=0)
     g_c0 = (g * site.f_tilde).sum(axis=0)
     centered = g - g.mean(axis=0)
-    ff = (site.f_tilde * site.f_tilde).sum(axis=0)
+    f = site.f_tilde
+    ff = (f * f).sum(axis=0)
+    off = np.abs(f.sum(axis=0)) > RESIDUE_TOL * np.sqrt(len(f) * ff)
+    f = np.where(off, f - f.mean(axis=0), f)
+    ff = (f * f).sum(axis=0)
     with np.errstate(invalid="ignore"):
-        coef = (centered * site.f_tilde).sum(axis=0) / ff
+        coef = (centered * f).sum(axis=0) / ff
     coef = np.where(ff == 0.0, 0.0, coef)
-    g_in = (site.c0 / site.sigma) * (centered - site.f_tilde * coef)
+    g_in = (site.c0 / site.sigma) * (centered - f * coef)
     return g_in, g_c0, g_c1
 
 

@@ -280,6 +280,26 @@ def test_grid_overflowing_mixing_factor_is_a_config_error(tmp_path, capsys,
     assert "cell x1_" in err
 
 
+@pytest.mark.parametrize("name", ["p_w", "p_v"])
+def test_training_overflowing_mixing_factor_is_a_config_error(tmp_path, capsys,
+                                                              name):
+    # the student init has the grid's bound: above it a mixed column's
+    # norm overflows
+    student = {"overparam_factor": 1, name: 1e308}
+    cfg = write_config(tmp_path, {
+        "seeds": [0], "epochs": 1, "batches_per_epoch": 2, "batch_size": 4,
+        "teacher": {"layer_widths": [4, 3, 2]}, "student": student,
+        "stream": {"std": 1.0},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"mixing factor {name} = 1e+308" in err
+
+
 # every teacher node is dead on the validation batch, so no layer-0
 # correlation exists; each kind used to write it as nan on exit 0
 DEAD_TEACHER = {

@@ -25,7 +25,6 @@ from reludyn.dynamics import (
     TwoLayerState,
     EXACT_COUNT_ROWS,
     GRAM_BLOCK_ROWS,
-    MAX_MIXING,
     _count_dtype,
     _gate,
     _gram_mean,
@@ -55,7 +54,7 @@ from reludyn.errors import (
     NumericError,
     PreconditionError,
 )
-from reludyn.teachers import PROBE_BLOCK_ROWS, GausStream, next_batch
+from reludyn.teachers import MAX_MIXING, PROBE_BLOCK_ROWS, GausStream, next_batch
 
 
 def simplex_filters(dim: int, m: int) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Runner, config, and report-emission behavior."""
 
+import copy
 import dataclasses
+import functools
 import json
 import math
 import os
 import platform
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reludyn import experiments
 from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
@@ -16,6 +20,7 @@ from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
     BLAS_THREAD_VARS,
     DIVERGENCE_NORM,
+    VAL_BATCH,
     RunLog,
     _grid_unit,
     _measure_cell_ledger,
@@ -27,7 +32,7 @@ from reludyn.experiments import (
     run_experiment,
 )
 from reludyn.net import backward, build_network, forward, sgd_step
-from reludyn.teachers import TeacherSpec, make_teacher
+from reludyn.teachers import StudentInit, TeacherSpec, make_student, make_teacher
 
 
 def tiny_train(**over):
@@ -160,6 +165,75 @@ def test_config_hash_is_pure_function():
     assert config_hash(data) == config_hash(dict(data))
 
 
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.text(max_size=6))
+JSON_CONFIGS = st.dictionaries(st.text(max_size=8), st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20,
+), max_size=6)
+
+
+def reordered(value):
+    """value with the keys of every dict in it, at any depth, reversed."""
+    if isinstance(value, dict):
+        return {k: reordered(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [reordered(v) for v in value]
+    return value
+
+
+def leaf_paths(value, path=()):
+    """Key and index paths to every non-container value under value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        yield path
+        return
+    for key, v in items:
+        yield from leaf_paths(v, path + (key,))
+
+
+def with_leaf(value, path, leaf):
+    """A copy of value with the leaf at path replaced."""
+    if not path:
+        return leaf
+    out = copy.copy(value)
+    out[path[0]] = with_leaf(value[path[0]], path[1:], leaf)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=JSON_CONFIGS)
+def test_config_hash_ignores_key_order_at_every_depth_and_never_mutates(data):
+    text = json.dumps(data)
+    assert config_hash(reordered(data)) == config_hash(data)
+    # key order and values alike: the input reads back as it was written
+    assert json.dumps(data) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=JSON_CONFIGS, workers=JSON_LEAVES)
+def test_config_hash_ignores_workers(data, workers):
+    rest = {k: v for k, v in data.items() if k != "workers"}
+    assert config_hash(dict(data, workers=workers)) == config_hash(rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=JSON_CONFIGS, draw=st.data())
+def test_config_hash_changes_with_any_other_leaf(data, draw):
+    paths = [p for p in leaf_paths(data) if p[0] != "workers"]
+    assume(paths)
+    path = draw.draw(st.sampled_from(paths))
+    old = json.dumps(functools.reduce(lambda v, k: v[k], path, data))
+    leaf = draw.draw(JSON_LEAVES.filter(lambda v: json.dumps(v) != old))
+    assert config_hash(with_leaf(data, path, leaf)) != config_hash(data)
+
+
 def test_config_rejects_unknown_kind():
     with pytest.raises(ConfigurationError):
         make_config({"kind": "warp"})
@@ -283,7 +357,7 @@ def test_parallel_matches_serial(kind):
         log = run_experiment(pooled_config(kind, workers))
         config = {k: v for k, v in log.config.items() if k != "workers"}
         logs.append(dataclasses.replace(log, wall_clock=0.0, timings={},
-                                        config=config))
+                                        peak_rss_mb={}, config=config))
     serial, pooled = logs
     assert serial == pooled
     assert serial.rows
@@ -910,6 +984,49 @@ def test_meta_records_the_environment_outside_summary(tmp_path, monkeypatch):
     assert env["blas_thread_vars"]["MKL_NUM_THREADS"] is None
     header = (tmp_path / "summary.csv").read_text().splitlines()[0]
     assert not {"python", "numpy", "cpu_count"} & set(header.split(","))
+
+
+def test_meta_records_peak_rss_outside_summary(tmp_path):
+    emit_reports(run_experiment(tiny_train(workers=2)), tmp_path)
+    peak = json.loads((tmp_path / "meta.json").read_text())["peak_rss_mb"]
+    assert set(peak) == {"main", "workers"}
+    assert peak["main"] > 0
+    if (os.cpu_count() or 1) > 1:  # the two seeds ran in a pool
+        assert peak["workers"] > 0
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+    assert not {"peak_rss_mb", "main", "workers"} & set(header.split(","))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while fn runs; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, bn_mode", [("train", "linear_bn_relu"),
+                                           ("lottery", "none")])
+def test_training_holds_one_validation_checkpoint_at_a_time(kind, bn_mode):
+    # a 20-400-25 student's validation forward traces ~26 MB under BN and
+    # ~20 MB without; one checkpoint's trace alive while the next is taken
+    # (the next epoch's, or the next lockstep lottery arm's) would peak
+    # near twice one forward
+    cfg = make_config({
+        "kind": kind, "seeds": [0], "epochs": 2, "batches_per_epoch": 2,
+        "batch_size": 16, "teacher": {"layer_widths": [20, 40, 25]},
+        "student": {"overparam_factor": 10, "bn_mode": bn_mode},
+    })
+    teacher = make_teacher(TeacherSpec(**cfg.teacher))
+    student = make_student(teacher, StudentInit(overparam_factor=10),
+                           bn_mode=bn_mode)
+    val_x = np.random.default_rng(0).normal(size=(VAL_BATCH, 20))
+    run_experiment(cfg)  # first-call caches are not the run's
+    one = traced_peak(lambda: forward(student, val_x))
+    run = traced_peak(lambda: run_experiment(cfg))
+    assert run <= 1.3 * one
 
 
 def test_emit_handles_nonfinite_ledger_values(tmp_path):

@@ -1,8 +1,10 @@
 """Core network: forward traces, manual backprop, BN projection, SGD."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reludyn.errors import (
     ConfigurationError,
@@ -311,6 +313,80 @@ def test_bn_backward_projection_properties():
         assert np.abs(g_in.sum(axis=0)).max() < 1e-10 * scale
         corr = np.abs((g_in * site.f_in).sum(axis=0)).max()
         assert corr < 1e-10 * scale * np.linalg.norm(site.f_in)
+
+
+def flat_channel_case(seed, bn_mode, widths, batch, n_flat, spread):
+    """A random BN network and batch whose first n_flat layer-0 channels
+    read only input 0, which is 1 plus spread times noise: exactly
+    constant over the batch at spread 0, near-constant otherwise."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, widths, bn_mode=bn_mode)
+    w0 = net.weights[0].copy()
+    n_flat = min(n_flat, widths[1])
+    w0[:, :n_flat] = 0.0
+    w0[0, :n_flat] = rng.uniform(0.1, 10.0, n_flat)
+    net = dataclasses.replace(net, weights=(w0, *net.weights[1:]))
+    x = rng.normal(size=(batch, widths[0]))
+    x[:, 0] = 1.0 + spread * rng.normal(size=batch)
+    return net, x, rng.normal(size=(batch, widths[-1]))
+
+
+def site_gradients(net, trace, grads):
+    """Per BN site: the gradient backward sent into the site's input and
+    the one it received at the site's output.
+
+    Under linear_bn_relu the site's input gradient is the node gradient;
+    under linear_relu_bn the ReLU gate follows it, so it is recomputed
+    from the upstream node gradient and tied to backward's node bit for
+    bit.
+    """
+    out = []
+    for hi, site in enumerate(trace.bn):
+        if site is None:
+            continue
+        g_up = grads.node[hi + 1] @ net.weights[hi + 1].T
+        if net.spec.bn_mode == "linear_bn_relu":
+            g_out, g_in = g_up * trace.gate[hi], grads.node[hi]
+        else:
+            g_out, g_in = g_up, bn_backward(g_up, site)[0]
+            assert np.array_equal(grads.node[hi], g_in * trace.gate[hi])
+        out.append((site, g_in, g_out))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       bn_mode=st.sampled_from(["linear_relu_bn", "linear_bn_relu"]),
+       widths=st.lists(st.integers(1, 12), min_size=3, max_size=5),
+       batch=st.integers(2, 64), n_flat=st.integers(0, 12),
+       spread=st.one_of(st.just(0.0),
+                        st.floats(-16.0, -1.0).map(lambda e: 10.0 ** e)))
+# a spread of a few ulps: f_tilde's batch sum, zero only to the rounding of
+# the batch mean, is not small against f_tilde there
+@example(seed=0, bn_mode="linear_relu_bn", widths=[4, 6, 5, 3], batch=64,
+         n_flat=6, spread=1e-15)
+@example(seed=0, bn_mode="linear_bn_relu", widths=[4, 6, 5, 3], batch=64,
+         n_flat=6, spread=1e-15)
+def test_bn_node_gradients_are_projected_on_real_steps(seed, bn_mode, widths,
+                                                       batch, n_flat, spread):
+    # every site's input gradient has zero batch mean and zero correlation
+    # with the pre-BN activation, relative to its scale, through the real
+    # forward and backward, on exactly constant and near-constant channels
+    # (a constant layer input gives the next layer channels whose spread
+    # is the rounding of the matrix product)
+    net, x, target = flat_channel_case(seed, bn_mode, tuple(widths), batch,
+                                       n_flat, spread)
+    trace = forward(net, x)
+    grads = backward(net, trace, target)
+    sites = site_gradients(net, trace, grads)
+    assert len(sites) == len(widths) - 2
+    for site, g_in, g_out in sites:
+        # scale of g_in: (|c0| / sigma) times the incoming gradient's L1 norm
+        scale = np.abs(site.c0) / site.sigma * np.abs(g_out).sum(axis=0)
+        assert np.all(np.abs(g_in.sum(axis=0)) <= 1e-9 * scale)
+        f_max = np.abs(site.f_in).max(axis=0)
+        corr = np.abs((g_in * site.f_in).sum(axis=0))
+        assert np.all(corr <= 1e-9 * scale * f_max)
 
 
 def test_bn_backward_param_grads_are_batch_sums():

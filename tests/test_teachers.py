@@ -6,6 +6,7 @@ import pytest
 from reludyn.errors import ConfigurationError, PreconditionError
 from reludyn.net import BN_MODES, NetworkSpec, build_network, forward
 from reludyn.teachers import (
+    MAX_MIXING,
     GausStream,
     StudentInit,
     TeacherSpec,
@@ -176,6 +177,17 @@ def test_student_init_validation():
         StudentInit(overparam_factor=0)
     with pytest.raises(ConfigurationError):
         StudentInit(p_w=-0.1)
+    for name in ("p_w", "p_v"):
+        with pytest.raises(ConfigurationError, match=f"{name} = 1e"):
+            StudentInit(**{name: MAX_MIXING * 10})
+    StudentInit(p_w=MAX_MIXING, p_v=MAX_MIXING)
+
+
+def test_teacher_bias_range_must_have_a_finite_width():
+    # the generator cannot draw from a range whose width overflows
+    with pytest.raises(ConfigurationError, match="wider than a float"):
+        TeacherSpec(layer_widths=(1, 1), bias_range=(-1.8e308, 1e292))
+    TeacherSpec(layer_widths=(1, 1), bias_range=(-1e307, 1e307))
 
 
 # ------------------------------------------------------------------ stream
