@@ -20,7 +20,12 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .experiments import _validator, emit_reports, make_config, run_experiment
+from .experiments import (
+    _schema_facts,
+    emit_reports,
+    make_config,
+    run_experiment,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,7 +45,7 @@ _SUBCOMMANDS: dict[str, str | None] = {
 }
 
 _ABLATE_KINDS = tuple(
-    kind for kind in _validator().schema["properties"]["kind"]["enum"]
+    kind for kind in _schema_facts()[0]["properties"]["kind"]["enum"]
     if kind.startswith("ablate_")
 )
 

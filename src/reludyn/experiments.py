@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .beta import compute_beta, psi_d, verify_identity
@@ -93,21 +92,15 @@ _KIND_OVERRIDES: dict = {
 
 @functools.cache
 def _schema_facts() -> tuple:
-    """The packaged config schema's validator and the defaults dict its
-    properties carry, built on first use.
+    """The packaged config schema and the defaults dict its properties
+    carry, read on first use.
 
     The schema is static, so it is checked against its metaschema by the
     test suite rather than on every validation.
     """
     text = resources.files("reludyn").joinpath("config_schema.json").read_text()
     schema = json.loads(text)
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    return validator, _defaults(schema)
-
-
-def _validator():
-    """Validator of the packaged config schema."""
-    return _schema_facts()[0]
+    return schema, _defaults(schema)
 
 
 def _defaults(node: dict) -> dict:
@@ -119,29 +112,72 @@ def _defaults(node: dict) -> dict:
     }
 
 
-def _typed(value, node: dict, key: str = "config"):
-    """A validated value with each number under an "integer" node made an
-    int and each under a "number" node made a float, so that an integer
-    written as 2.0 reaches the runners as 2.
+_JSON_TYPES = {"object": dict, "array": list, "integer": (int, float),
+               "number": (int, float)}
 
-    json.loads accepts NaN and Infinity and the schema's bounds let them
-    through, so a non-finite number is rejected here, naming its key.
+
+def _rejected(key: str, value, reason: str) -> ConfigurationError:
+    return ConfigurationError(f"{key} rejected: {value!r} {reason}")
+
+
+def _typed(value, node: dict, key: str = "config"):
+    """value checked against a schema node and typed in one walk, each
+    error naming its key: an integer written as 2.0 reaches the runners
+    as the int 2, and every number as a float.
+
+    It reads the keywords config_schema.json uses; an object rejects the
+    keys its properties do not name, as additionalProperties is false on
+    every one.  As in JSON Schema a bool is not a number, an integer node
+    takes 2.0 but not 2.5, and uniqueness compares the typed items.
+    json.loads accepts NaN and Infinity, which a number must not be.
     """
+    if "enum" in node and value not in node["enum"]:
+        raise _rejected(key, value, f"is not one of {node['enum']}")
     kind = node.get("type")
+    if kind is None:
+        return value
+    if (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool)
+            or kind == "integer" and isinstance(value, float)
+            and not value.is_integer()):
+        raise _rejected(key, value, f"is not of type {kind!r}")
     if kind == "object":
-        return {
-            k: _typed(v, node["properties"][k], f"{key}.{k}")
-            for k, v in value.items()
-        }
+        props = node["properties"]
+        for name in node.get("required", ()):
+            if name not in value:
+                raise _rejected(key, name, "is a required key")
+        for name in value:
+            if name not in props:
+                raise _rejected(key, name, "is not a known key")
+        return {k: _typed(v, props[k], f"{key}.{k}") for k, v in value.items()}
     if kind == "array":
-        return [_typed(v, node["items"], f"{key}[{i}]") for i, v in enumerate(value)]
-    if kind == "integer":
-        return int(value)
-    if kind == "number":
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{key} must be finite, got {value}")
-        return float(value)
-    return value
+        if len(value) < node.get("minItems", 0):
+            raise _rejected(key, value,
+                            f"has fewer than {node['minItems']} items")
+        if len(value) > node.get("maxItems", math.inf):
+            raise _rejected(key, value,
+                            f"has more than {node['maxItems']} items")
+        items = [_typed(v, node["items"], f"{key}[{i}]")
+                 for i, v in enumerate(value)]
+        ordered = sorted(items) if node.get("uniqueItems") else []
+        if any(a == b for a, b in zip(ordered, ordered[1:])):
+            raise _rejected(key, value, "has non-unique elements")
+        return items
+    try:
+        typed = int(value) if kind == "integer" else float(value)
+    except OverflowError:  # an int beyond the float range
+        typed = math.inf
+    if not math.isfinite(typed):
+        raise ConfigurationError(f"{key} must be finite, got {value}")
+    if "minimum" in node and typed < node["minimum"]:
+        raise _rejected(key, value,
+                        f"is less than the minimum of {node['minimum']}")
+    if "exclusiveMinimum" in node and typed <= node["exclusiveMinimum"]:
+        raise _rejected(key, value, "is not greater than the exclusive "
+                        f"minimum of {node['exclusiveMinimum']}")
+    if "maximum" in node and typed > node["maximum"]:
+        raise _rejected(key, value,
+                        f"is greater than the maximum of {node['maximum']}")
+    return typed
 
 
 def config_hash(data: dict) -> str:
@@ -192,28 +228,26 @@ class ExperimentConfig:
 
 
 def make_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config dict against the schema, fill the schema's
-    defaults and type each section once.
+    """Fill a raw config dict with the schema's defaults and the kind's
+    overrides, then check and type it against the schema in one walk.
 
     raw and config_hash keep the merged values as written; the sections
-    hold them typed.
+    hold them typed.  The lottery and grid rules apply to the typed
+    values.
     """
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
-    validator, defaults = _schema_facts()
-    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
-    if error is not None:
-        key = error.json_path.replace("$", "config", 1)
-        raise ConfigurationError(f"{key} rejected: {error.message}")
-    kind = data["kind"]
-    merged = _merge(defaults, _KIND_OVERRIDES.get(kind, {}))
-    merged = _merge(merged, data)
-    if kind == "lottery" and merged["student"]["bn_mode"] != "none":
-        raise ConfigurationError(
-            "pruning zeroes whole channels and degenerates batch statistics; "
-            "lottery runs require bn_mode none"
+    schema, defaults = _schema_facts()
+    kind = data.get("kind")
+    override = _KIND_OVERRIDES.get(kind, {}) if isinstance(kind, str) else {}
+    merged = _merge(_merge(defaults, override), data)
+    typed = _typed(merged, schema)
+    if kind == "lottery" and typed["student"]["bn_mode"] != "none":
+        raise _rejected(
+            "config.student.bn_mode", typed["student"]["bn_mode"],
+            "for a lottery: pruning zeroes whole channels and degenerates "
+            "batch statistics; lottery runs require bn_mode none",
         )
-    typed = _typed(merged, validator.schema)
     if kind == "overparam_grid":
         # a cell's key names its detail table and ledger block
         g = typed["grid"]
@@ -401,7 +435,6 @@ def _run_training(teacher: Network, students: list[Network],
                    seed=unit["seed"] + VAL_STREAM_OFF),
         VAL_BATCH,
     )
-    val_acts = forward(teacher, val_x).act
     eta, batch_size, n_batches = cfg.eta, cfg.batch_size, cfg.batches_per_epoch
     nets = list(students)
     rows: list[list[dict]] = [[] for _ in nets]
@@ -411,6 +444,14 @@ def _run_training(teacher: Network, students: list[Network],
     # overflow on the way to the divergence cutoff is an expected,
     # reported outcome, not a numeric bug worth a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
+        val_acts = forward(teacher, val_x).act
+        # the teacher is the target: if it overflows, no run measures
+        if not all(np.isfinite(a).all() for a in val_acts):
+            raise ConfigurationError(
+                f"config.teacher: layer_widths {unit['teacher']['layer_widths']}"
+                f" with weight_grid {unit['teacher']['weight_grid']} overflow "
+                "the teacher's activations"
+            )
         for epoch in range(epochs + 1):
             stepping = live if epoch > 0 else []
             for _ in range(n_batches if stepping else 0):

@@ -61,6 +61,28 @@ def test_identity_exact_across_architectures(s_widths, t_widths, seed):
     assert res < 1e-10 * max(1.0, gmax)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 4),
+       widths=st.lists(st.integers(1, 12), min_size=8, max_size=8),
+       batch=st.integers(1, 16), bias=st.booleans(),
+       log_scale=st.floats(-2.0, 2.0))
+def test_identity_exact_on_drawn_pairs(seed, depth, widths, batch, bias,
+                                       log_scale):
+    # compute_beta is defined for bn_mode none only; check 1's tolerance
+    d_in, d_out, hidden = widths[0], widths[1], widths[2:]
+    s_widths = (d_in, *hidden[:depth - 1], d_out)
+    t_widths = (d_in, *hidden[3:depth + 2], d_out)
+    rng = np.random.default_rng(seed)
+    student = random_network(rng, s_widths, bias=bias)
+    teacher = random_network(rng, t_widths, bias=bias)
+    x = rng.normal(0.0, 10.0 ** log_scale, size=(batch, d_in))
+    tr_s, tr_t = forward(student, x), forward(teacher, x)
+    grads = backward(student, tr_s, tr_t.outputs)
+    res = verify_identity(compute_beta(student, teacher, tr_s, tr_t),
+                          tr_s, tr_t, grads)
+    assert res <= 1e-10 * max(float(np.abs(g).max()) for g in grads.node)
+
+
 def test_identity_exact_without_biases():
     spec_s = NetworkSpec(layer_widths=(5, 8, 3), bias=False)
     spec_t = NetworkSpec(layer_widths=(5, 6, 3), bias=False)

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from reludyn import experiments
 from reludyn.cli import _ABLATE_KINDS, _SUBCOMMANDS, main
-from reludyn.experiments import _RUNNERS, _validator
+from reludyn.experiments import _RUNNERS, _schema_facts
+
+SCHEMA = _schema_facts()[0]
 
 TINY_TRAIN = {
     "kind": "train",
@@ -106,7 +108,7 @@ def write_config(tmp_path, data, name="cfg.json"):
 
 
 def test_schema_runners_and_subcommands_name_the_same_kinds():
-    schema_kinds = set(_validator().schema["properties"]["kind"]["enum"])
+    schema_kinds = set(SCHEMA["properties"]["kind"]["enum"])
     cli_kinds = {k for k in _SUBCOMMANDS.values() if k is not None}
     assert schema_kinds == set(_RUNNERS)
     assert schema_kinds == cli_kinds | set(_ABLATE_KINDS)
@@ -298,6 +300,26 @@ def test_training_overflowing_mixing_factor_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"mixing factor {name} = 1e+308" in err
+
+
+# the first overflows the teacher's first layer; the second reaches inf
+# only at its fourth, with grid values a bound at MAX_MIXING would pass
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("widths, grid", [([4, 3, 2], [-1e300, 1e300]),
+                                          ([4, 3, 3, 3, 2], [-1e100, 1e100])])
+def test_overflowing_teacher_is_a_config_error(tmp_path, capsys, widths,
+                                               grid):
+    cfg = write_config(tmp_path, {
+        "seeds": [0], "epochs": 1, "batches_per_epoch": 2, "batch_size": 4,
+        "teacher": {"layer_widths": widths, "weight_grid": grid},
+        "student": {"overparam_factor": 1}, "stream": {"std": 1.0},
+    })
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.teacher")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # every teacher node is dead on the validation batch, so no layer-0
@@ -531,7 +553,7 @@ def schema_values(node: dict, key: str = "config"):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_schema_drawn_configs_end_in_documented_exit_codes(command, data):
-    config = data.draw(schema_values(_validator().schema))
+    config = data.draw(schema_values(SCHEMA))
     kind = _SUBCOMMANDS[command]
     config["kind"] = kind or data.draw(st.sampled_from(_ABLATE_KINDS))
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,4 @@
-"""The package imports only the standard library, numpy and jsonschema.
+"""The package imports only the standard library and numpy.
 
 scipy and other packages may be installed where the tests run, so an
 import of one would work here and fail where only the declared
@@ -6,13 +6,15 @@ dependencies are.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reludyn"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "jsonschema", "reludyn"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "reludyn"}
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -29,3 +31,15 @@ def _imported_roots(path: Path) -> set[str]:
                          ids=lambda p: p.name)
 def test_package_imports_only_declared_dependencies(path):
     assert _imported_roots(path) - ALLOWED == set()
+
+
+def test_cli_import_loads_no_jsonschema():
+    # jsonschema is installed for the tests, so only a fresh interpreter
+    # shows what the package itself loads
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import reludyn.cli, sys; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout == "False\n"

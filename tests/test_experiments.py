@@ -25,14 +25,22 @@ from reludyn.experiments import (
     _grid_unit,
     _measure_cell_ledger,
     _parallel_map,
-    _validator,
+    _schema_facts,
     config_hash,
     emit_reports,
     make_config,
     run_experiment,
 )
 from reludyn.net import backward, build_network, forward, sgd_step
-from reludyn.teachers import StudentInit, TeacherSpec, make_student, make_teacher
+from reludyn.teachers import (
+    MAX_MIXING,
+    StudentInit,
+    TeacherSpec,
+    make_student,
+    make_teacher,
+)
+
+SCHEMA = _schema_facts()[0]
 
 
 def tiny_train(**over):
@@ -79,8 +87,7 @@ def test_config_defaults_filled():
 
 
 def test_config_schema_is_valid_under_its_metaschema():
-    schema = _validator().schema
-    jsonschema.validators.validator_for(schema).check_schema(schema)
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
 
 # make_config({"kind": k}).config_hash from when the defaults lived in a
@@ -108,7 +115,7 @@ def schema_leaves(node, path=()):
 
 
 def test_schema_holds_every_default_and_keeps_the_hashes():
-    validator = _validator()
+    validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
     leaves = dict(schema_leaves(validator.schema))
     assert len(leaves) == 45
     for path, prop in leaves.items():
@@ -262,6 +269,192 @@ def test_lottery_config_rejects_bn():
         })
 
 
+# one invalid config per schema keyword and per rule make_config adds,
+# with the key path its message must name
+NAMED_REJECTIONS = {
+    "type": ({"kind": "train", "teacher": 5}, "config.teacher rejected"),
+    "enum": ({"kind": "warp"}, "config.kind rejected"),
+    "properties": ({"kind": "train", "stream": {"std": "1"}},
+                   "config.stream.std rejected"),
+    "required-kind-missing": ({"seeds": [0]}, "config rejected: 'kind'"),
+    "additionalProperties": ({"kind": "train", "teacher": {"depth": 3}},
+                             "config.teacher rejected: 'depth'"),
+    "items": ({"kind": "train", "seeds": [0, -1]}, "config.seeds[1] rejected"),
+    "minItems": ({"kind": "train", "seeds": []}, "config.seeds rejected"),
+    "maxItems": ({"kind": "train", "teacher": {"bias_range": [-1, 0, 1]}},
+                 "config.teacher.bias_range rejected"),
+    "uniqueItems": ({"kind": "train", "seeds": [1, 1]},
+                    "config.seeds rejected"),
+    "minimum": ({"kind": "train", "epochs": -1}, "config.epochs rejected"),
+    "exclusiveMinimum": ({"kind": "train", "eta": 0}, "config.eta rejected"),
+    "maximum": ({"kind": "falloff_probe", "falloff": {"scales": [0.1, 0.6]}},
+                "config.falloff.scales[1] rejected"),
+    "bool-for-number": ({"kind": "train", "eta": True}, "config.eta rejected"),
+    "2.5-for-integer": ({"kind": "train", "epochs": 2.5},
+                        "config.epochs rejected"),
+    "nan": ({"kind": "train", "student": {"p_w": math.nan}},
+            "config.student.p_w must be finite"),
+    "int-beyond-float": ({"kind": "train", "eta": 10**400},
+                         "config.eta must be finite"),
+    "unhashable-kind": ({"kind": ["train"]}, "config.kind rejected"),
+    "lottery-bn": ({"kind": "lottery", "student": {"bn_mode": "linear_relu_bn"}},
+                   "config.student.bn_mode rejected"),
+    "grid-cell-keys": ({"kind": "overparam_grid", "grid": {
+        "cells": [[1.0000001, 0.0], [1.0000002, 0.0]]}}, "config.grid.cells"),
+    "grid-mixing": ({"kind": "overparam_grid", "grid": {"cells": [[1e300, 0]]}},
+                    "config.grid.cells"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_REJECTIONS))
+def test_every_config_error_names_its_key(name):
+    data, path = NAMED_REJECTIONS[name]
+    with pytest.raises(ConfigurationError) as err:
+        make_config(data)
+    message = str(err.value)
+    assert message.startswith("config") and path in message
+
+
+def schema_nodes(node):
+    yield node
+    for prop in node.get("properties", {}).values():
+        yield from schema_nodes(prop)
+    if "items" in node:
+        yield from schema_nodes(node["items"])
+
+
+# the keywords experiments._typed reads; "default" is read by _defaults
+# and "$schema" and "title" are annotations
+WALKED_KEYWORDS = {
+    "type", "enum", "properties", "required", "additionalProperties",
+    "items", "minItems", "maxItems", "uniqueItems", "minimum",
+    "exclusiveMinimum", "maximum",
+}
+
+
+def test_the_config_walk_reads_every_keyword_the_schema_uses():
+    nodes = list(schema_nodes(SCHEMA))
+    used = set().union(*nodes)
+    assert used <= WALKED_KEYWORDS | {"default", "$schema", "title"}
+    for node in nodes:
+        # the walk knows these types, and rejects every unknown key
+        assert node.get("type", "object") in experiments._JSON_TYPES
+        if node.get("type") == "object":
+            assert node["additionalProperties"] is False
+
+
+def near_schema(node):
+    """Small values the schema node mostly accepts: its enum, its type
+    within its bounds with integral floats for integers and small ints
+    for unbounded numbers, lists that rarely repeat items, objects with
+    any subset of their optional keys."""
+    if "enum" in node:
+        return st.sampled_from(node["enum"])
+    kind = node["type"]
+    if kind == "object":
+        required = set(node.get("required", ()))
+        props = {k: near_schema(p) for k, p in node["properties"].items()}
+        return st.fixed_dictionaries(
+            {k: v for k, v in props.items() if k in required},
+            optional={k: v for k, v in props.items() if k not in required},
+        )
+    if kind == "array":
+        low = node.get("minItems", 0)
+        return st.lists(near_schema(node["items"]), min_size=low,
+                        max_size=node.get("maxItems", low + 3),
+                        unique_by=json.dumps if node.get("uniqueItems") else None)
+    if kind == "integer":
+        ints = st.integers(node.get("minimum", 0), node.get("minimum", 0) + 4)
+        return ints | ints.map(float)
+    floats = st.floats(
+        min_value=node.get("minimum", node.get("exclusiveMinimum")),
+        max_value=node.get("maximum"), exclude_min="exclusiveMinimum" in node,
+        allow_nan=False, allow_infinity=False,
+    )
+    return floats if "maximum" in node else floats | st.integers(1, 3)
+
+
+NEAR_CONFIGS = near_schema(SCHEMA)
+
+
+def mutants(value, node):
+    """Replacements for a value at a schema node: another type, NaN or an
+    infinity; a list cut below its minimum or with an item repeated; an
+    object with an unknown key or without kind; else a bool, 2.0, 2.5, -1
+    or a number at or next to one of the node's bounds."""
+    other = [True, None, "x", [], {}, math.nan, math.inf, -math.inf]
+    if isinstance(value, list):
+        short = value[:max(node.get("minItems", 1) - 1, 0)]
+        return st.sampled_from([*other, short, value + value[:1]])
+    if isinstance(value, dict):
+        return st.sampled_from([*other, dict(value, unknown=1),
+                                {k: v for k, v in value.items() if k != "kind"}])
+    edges = [node[k] + d for k in ("minimum", "exclusiveMinimum", "maximum")
+             if k in node for d in (-1, 0, 1)]
+    return st.sampled_from([*other, False, 2.0, 2.5, -1, *edges])
+
+
+def value_nodes(value, node, path=()):
+    """(path, schema node) of every value in value that the schema names."""
+    yield path, node
+    if isinstance(value, dict) and node.get("type") == "object":
+        for k, v in value.items():
+            if k in node["properties"]:
+                yield from value_nodes(v, node["properties"][k], path + (k,))
+    elif isinstance(value, list) and node.get("type") == "array":
+        for i, v in enumerate(value):
+            yield from value_nodes(v, node["items"], path + (i,))
+
+
+def rule_applies(data: dict) -> bool:
+    """make_config's lottery and grid rules, on a config the schema takes."""
+    merged = experiments._merge(_schema_facts()[1], data)
+    if data["kind"] == "lottery":
+        return merged["student"]["bn_mode"] != "none"
+    if data["kind"] == "overparam_grid":
+        cells = merged["grid"]["cells"]
+        keys = [experiments._cell_key(o, *c)
+                for o in merged["grid"]["overparams"] for c in cells]
+        return (len(set(keys)) < len(keys)
+                or any(p > MAX_MIXING for c in cells for p in c))
+    return False
+
+
+def assert_typed(value, node):
+    kind = node.get("type")
+    if kind == "object":
+        for k, v in value.items():
+            assert_typed(v, node["properties"][k])
+    elif kind == "array":
+        for v in value:
+            assert_typed(v, node["items"])
+    elif kind in ("integer", "number"):
+        assert type(value) is {"integer": int, "number": float}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=st.data())
+def test_make_config_rejects_what_jsonschema_nan_and_the_rules_reject(draw):
+    data = draw.draw(NEAR_CONFIGS)
+    for _ in range(draw.draw(st.integers(0, 2))):
+        path, node = draw.draw(st.sampled_from(list(value_nodes(data, SCHEMA))))
+        old = functools.reduce(lambda v, k: v[k], path, data)
+        data = with_leaf(data, path, draw.draw(mutants(old, node)))
+    finite = all(
+        not isinstance(v, float) or math.isfinite(v)
+        for v in (functools.reduce(lambda v, k: v[k], p, data)
+                  for p in leaf_paths(data))
+    )
+    valid = jsonschema.validators.validator_for(SCHEMA)(SCHEMA).is_valid(data)
+    if not (valid and finite) or rule_applies(data):
+        with pytest.raises(ConfigurationError):
+            make_config(data)
+        return
+    cfg = make_config(data)
+    typed = {k: getattr(cfg, k) for k in cfg.raw}
+    assert_typed(dict(typed, seeds=list(cfg.seeds)), SCHEMA)
+
+
 def test_bn_audit_defaults_to_bn_student():
     cfg = make_config({"kind": "bn_audit"})
     assert cfg.student["bn_mode"] == "linear_relu_bn"
@@ -349,7 +542,7 @@ def pooled_config(kind: str, workers: int):
 
 
 @pytest.mark.parametrize(
-    "kind", _validator().schema["properties"]["kind"]["enum"],
+    "kind", SCHEMA["properties"]["kind"]["enum"],
 )
 def test_parallel_matches_serial(kind):
     logs = []
