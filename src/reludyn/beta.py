@@ -176,6 +176,8 @@ def psi_d(w, w_p, stream: GausStream, n: int, tau: float = 0.0):
     if n < 2:
         raise PreconditionError("need at least two samples")
     s1 = 0.0
+    # x stays alive while the next block is drawn: dropping a small block
+    # first lets malloc trim the heap top and fault it back in per block
     for x in batch_blocks(stream, n):
         s1 += (_gate(x @ w, tau) * _gate(x @ w_p, tau)).sum()
     mean = s1 / n

@@ -507,7 +507,8 @@ def two_layer_constants(k_d: float, k_l: float, theta_0: float, eps_d: float,
 
     Damped iteration (factor 0.5, tolerance 1e-10, 100-iteration cap) on
     (gamma, drift constants); infeasibility is a reported outcome, not an
-    exception.
+    exception.  A rate 1 - eta * floor * gamma that overflows makes the
+    ledger infeasible with binding "rate-overflow".
     """
     if not 0.0 < theta_0 < math.pi / 2:
         raise PreconditionError("initial angle must lie in (0, pi/2)")
@@ -563,10 +564,14 @@ def two_layer_constants(k_d: float, k_l: float, theta_0: float, eps_d: float,
             binding = "w-cond" if vals["gamma_w"] <= vals["gamma_v"] else "v-cond"
     elif not binding:
         binding = "no-convergence"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate_w = 1.0 - eta * vals["d_bar"] * gamma
+        rate_v = 1.0 - eta * vals["l_bar"] * gamma
+    # a step so large that a rate is not a float bounds no contraction
+    if not (math.isfinite(rate_w) and math.isfinite(rate_v)):
+        feasible, binding = False, "rate-overflow"
     return ConstantLedger(
-        **p, **vals, gamma=gamma,
-        rate_w=1.0 - eta * vals["d_bar"] * gamma,
-        rate_v=1.0 - eta * vals["l_bar"] * gamma,
+        **p, **vals, gamma=gamma, rate_w=rate_w, rate_v=rate_v,
         feasible=feasible, binding=binding, iterations=it, converged=converged,
     )
 
@@ -697,7 +702,8 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
     off from and raises DegenerateBatchError.
 
     The batch streams through teachers.batch_blocks, the block loop
-    psi_d shares, so at most one block of it is held at a time.  Each
+    psi_d shares, and each block and its temporaries are dropped before
+    the next is drawn, so one block of it is held at a time.  Each
     block projects onto every filter with a matrix-vector product of its
     own, and each filter's difference q = f (f* - f) gets the block's
     mean and centered sum of squares, combined in block order by the
@@ -749,6 +755,8 @@ def quadratic_falloff_probe(w_star: np.ndarray, scales: tuple[float, ...],
             diffs[i] += delta * (b / total)
             m2s[i] += np.add.reduce(q) + delta * delta * (rows * b / total)
         rows = total
+        # batch_blocks draws the next block with none of this one alive
+        x = f_star = f = q = None
     l_ref = float(sq_ref / n)
     if l_ref == 0.0:
         raise DegenerateBatchError(

@@ -50,6 +50,7 @@ from .metrics import bn_bias_audit, mean_rank, rho_bar, rho_matrix, v_row_norms
 from .net import (
     Network,
     NetworkSpec,
+    activations,
     backward,
     build_network,
     forward,
@@ -388,17 +389,19 @@ def _checkpoint(net: Network, val_x: np.ndarray, val_acts: list[np.ndarray],
     """One student's epoch row on the validation batch; appends each
     hidden layer's correlation matrix to that layer's checkpoint list.
 
-    Only the student's activations outlive its forward pass, and only
-    until this returns, so a run holds one checkpoint's activations at a
-    time.  At the top layer the activation is the output.  diverged is
-    1 when the loss is non-finite or above the divergence cutoff.
+    The student's validation pass is net.activations' read-only walk:
+    each hidden layer's correlations and fan-out norms are taken as soon
+    as its activation exists, and the next step drops it, so a run holds
+    one layer of one checkpoint at a time.  The loss is read from the
+    top layer, the outputs, and its keys keep their place first in the
+    row.  diverged is 1 when the loss is non-finite or above the
+    divergence cutoff.
     """
-    acts = forward(net, val_x).act
-    loss = float(squared_loss(acts[-1], val_acts[-1]))
-    row = {"epoch": epoch, "loss": loss,
-           "diverged": int(not math.isfinite(loss) or loss > DIVERGENCE_LOSS)}
+    row = {"epoch": epoch, "loss": None, "diverged": None}
+    acts = activations(net, val_x)
     for h, cps in enumerate(checkpoints):
-        cm = rho_matrix(acts[h], val_acts[h])
+        # no name holds the activation, so it goes with the next step
+        cm = rho_matrix(next(acts), val_acts[h])
         cps.append(cm)
         rb = rho_bar(cm)
         # with every teacher node of the layer dead on the validation
@@ -408,12 +411,15 @@ def _checkpoint(net: Network, val_x: np.ndarray, val_acts: list[np.ndarray],
         row[f"v_l{h}_min"] = float(vr.min())
         row[f"v_l{h}_max"] = float(vr.max())
         row[f"v_l{h}_mean"] = float(vr.mean())
+    loss = float(squared_loss(next(acts), val_acts[-1]))
+    row["loss"] = loss
+    row["diverged"] = int(not math.isfinite(loss) or loss > DIVERGENCE_LOSS)
     return row
 
 
 def _run_training(teacher: Network, students: list[Network],
                   cfg: ExperimentConfig, unit: dict, epochs: int,
-                  stream_seed: int) -> list[tuple]:
+                  stream_seed: int, timings: dict[str, float]) -> list[tuple]:
     """SGD on teacher soft targets, students in lockstep; per-epoch rows.
 
     Each batch of the unit's stream is drawn and labelled once, then every
@@ -421,8 +427,9 @@ def _run_training(teacher: Network, students: list[Network],
     unit's seed fixes the validation batch.  Epoch 0 is the untouched
     initialization.  A loss above the divergence cutoff (or a numeric
     failure inside an epoch) marks a student diverged and drops it from
-    the run, keeping its rows up to that epoch.  Returns (rows, trained
-    net, final correlations, diverged) per student.
+    the run, keeping its rows up to that epoch.  The seconds spent in
+    validation checkpoints are added to timings["checkpoints"].  Returns
+    (rows, trained net, final correlations, diverged) per student.
     """
     dim = teacher.spec.layer_widths[0]
     stream_cfg = unit["stream"]
@@ -444,13 +451,13 @@ def _run_training(teacher: Network, students: list[Network],
     # overflow on the way to the divergence cutoff is an expected,
     # reported outcome, not a numeric bug worth a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
-        val_acts = forward(teacher, val_x).act
+        val_acts = list(activations(teacher, val_x))
         # the teacher is the target: if it overflows, no run measures
         if not all(np.isfinite(a).all() for a in val_acts):
             raise ConfigurationError(
-                f"config.teacher: layer_widths {unit['teacher']['layer_widths']}"
-                f" with weight_grid {unit['teacher']['weight_grid']} overflow "
-                "the teacher's activations"
+                f"config.teacher.weight_grid {unit['teacher']['weight_grid']}"
+                " overflows the teacher's activations at layer_widths "
+                f"{unit['teacher']['layer_widths']}"
             )
         for epoch in range(epochs + 1):
             stepping = live if epoch > 0 else []
@@ -466,12 +473,15 @@ def _run_training(teacher: Network, students: list[Network],
                 stepping = [i for i in stepping if not diverged[i]]
                 if not stepping:
                     break
+            t0 = time.perf_counter()
             for i in live:
                 row = _checkpoint(nets[i], val_x, val_acts, epoch,
                                   checkpoints[i])
                 diverged[i] = diverged[i] or bool(row["diverged"])
                 row["diverged"] = int(diverged[i])
                 rows[i].append(row)
+            timings["checkpoints"] = (timings.get("checkpoints", 0.0)
+                                      + time.perf_counter() - t0)
             live = [i for i in live if not diverged[i]]
             if not live:
                 break
@@ -528,14 +538,21 @@ def _training_units(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _student(teacher: Network, unit: dict, seed: int) -> Network:
-    """The unit's student around the teacher, initialized from seed."""
+    """The unit's student around the teacher, initialized from seed.
+
+    The mixing factors are bounded, so a student init that overflows
+    does so on the teacher's grid values.
+    """
     s = unit["student"]
-    return make_student(
-        teacher,
-        StudentInit(overparam_factor=s["overparam_factor"],
-                    p_w=s["p_w"], p_v=s["p_v"], seed=seed),
-        bn_mode=s["bn_mode"],
-    )
+    init = StudentInit(overparam_factor=s["overparam_factor"],
+                       p_w=s["p_w"], p_v=s["p_v"], seed=seed)
+    try:
+        return make_student(teacher, init, bn_mode=s["bn_mode"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"config.teacher.weight_grid {unit['teacher']['weight_grid']}: "
+            f"{exc}"
+        ) from None
 
 
 def _train_unit(payload: tuple) -> RunLog:
@@ -543,15 +560,16 @@ def _train_unit(payload: tuple) -> RunLog:
     t0 = time.perf_counter()
     seed = unit["seed"]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
+    timings: dict[str, float] = {}
     [(rows, trained, _, diverged)] = _run_training(
         teacher, [_student(teacher, unit, seed)], cfg, unit,
-        cfg.epochs, seed + TRAIN_STREAM_OFF,
+        cfg.epochs, seed + TRAIN_STREAM_OFF, timings,
     )
     entry = {"seed": seed, "diverged": diverged}
     if cfg.kind.startswith("ablate_"):
         entry["tags"] = unit["tags"]
     log = RunLog(rows=[dict(unit["tags"], seed=seed, **r) for r in rows],
-                 assumptions=[entry])
+                 assumptions=[entry], timings=timings)
     if cfg.kind == "bn_audit":
         reports = bn_bias_audit(trained)
         log.tables["bn_bias"] = [
@@ -634,9 +652,11 @@ def _lottery_unit(payload: tuple) -> RunLog:
     seed = unit["seed"]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
     student0 = _student(teacher, unit, seed)
+    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     [(base_rows, _, finals, _)] = _run_training(
         teacher, [student0], cfg, unit, cfg.epochs, seed + TRAIN_STREAM_OFF,
+        timings,
     )
     t1 = time.perf_counter()
     keep, contested = [], []
@@ -655,8 +675,8 @@ def _lottery_unit(payload: tuple) -> RunLog:
     rows = [dict(seed=seed, arm="base", **r) for r in base_rows]
     summaries = []
     trained = _run_training(teacher, [net0 for _, net0 in arms], cfg, unit,
-                            retrain, seed + RETRAIN_STREAM_OFF)
-    timings = {"base": t1 - t0, "arms": time.perf_counter() - t1}
+                            retrain, seed + RETRAIN_STREAM_OFF, timings)
+    timings.update(base=t1 - t0, arms=time.perf_counter() - t1)
     for (arm, _), (a_rows, _, _, a_div) in zip(arms, trained):
         rows.extend(dict(seed=seed, arm=arm, **r) for r in a_rows)
         summary = {
@@ -677,7 +697,8 @@ def run_lottery(cfg: ExperimentConfig) -> RunLog:
     Winners are one distinct student node per teacher node, picked by
     final correlation after a base training run; the three arms retrain
     in lockstep on one retrain stream, so the comparison is paired.  The
-    base and arms phases are timed, each summed over units.
+    base and arms phases are timed, and the checkpoints inside them,
+    each summed over units.
     """
     log = _pooled(cfg, _lottery_unit, _training_units(cfg))
     log.aggregates = _aggregate(log.rows, ("arm", "epoch"), "minmax")

@@ -21,12 +21,23 @@ Conventions used throughout the package:
   the direction that decreases the loss, and ``sgd_step`` *adds* them.
   At the top layer the per-sample node gradient is ``target - output``.
 
+The forward pass is one step per layer: the linear map (``_linear``),
+then ``_layer``: under BN the site and its output, and the ReLU gate and
+activation.  ``forward`` runs the steps and records every tensor of each
+in a ``ForwardTrace`` for ``backward``.  ``activations`` is a read-only
+walk over the same steps: it yields each layer's activation and keeps
+nothing else, and its steps (``keep=False``) write their activation and
+BN output into buffers that only they hold.  A caller that reads
+activations or outputs only (a validation checkpoint, teacher labels)
+so holds one layer's tensors at a time, not the whole trace.
+
 Two shortcuts in the step are exact, not approximate.  numpy's mean and
 var are ``add.reduce(a, 0) / n`` over the columns and over the squared
 centered copy, so ``centered_moments`` has their bits, and BN whitens that
 copy.  In-place updates write only into arrays the step just allocated and
-compute what the out-of-place form would (IEEE sums and products commute);
-no array that ``forward``, ``backward`` or ``sgd_step`` returned is written.
+compute what the out-of-place form would (IEEE sums and products commute),
+so the walk yields ``forward``'s bits; no array that ``forward``,
+``backward`` or ``sgd_step`` returned is written.
 """
 
 from __future__ import annotations
@@ -207,51 +218,101 @@ def centered_moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return mu, c, np.add.reduce(c * c, 0) / a.shape[0]
 
 
-def _bn(f_in: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> tuple[BNSite, np.ndarray]:
-    """Batch-normalize f_in per channel: the site record and c0 * f~ + c1."""
+def _bn(f_in: np.ndarray, c0: np.ndarray, c1: np.ndarray,
+        keep: bool = True) -> tuple[BNSite, np.ndarray]:
+    """Batch-normalize f_in per channel: the site record and c0 * f~ + c1.
+
+    With keep False the output is written into the site's f_tilde, which
+    the caller then never reads.
+    """
     if f_in.shape[0] < 2:
         raise PreconditionError("BN needs batch size >= 2")
     mu, f_tilde, var = centered_moments(f_in)
     sigma = np.sqrt(var + BN_EPS)  # var >= 0: never below SIGMA_FLOOR
     f_tilde /= sigma
-    return BNSite(f_in, mu, sigma, f_tilde, c0), c0 * f_tilde + c1
+    y = np.multiply(c0, f_tilde, out=None if keep else f_tilde)
+    y += c1
+    return BNSite(f_in, mu, sigma, f_tilde, c0), y
 
 
-def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
-    """Evaluate the network on a batch, recording the full trace."""
+def _linear(net: Network, li: int, h: np.ndarray) -> np.ndarray:
+    """Layer li's linear map of its input h: the pre-activation."""
+    pre = h @ net.weights[li]
+    if net.biases[li] is not None:
+        pre += net.biases[li]
+    return pre
+
+
+def _layer(net: Network, li: int, pre: np.ndarray, keep: bool = True) -> tuple:
+    """The rest of layer li's step from its pre-activation.
+
+    Returns (gate, act, out, site); at the top layer gate and site are
+    None and act and out are pre itself.  A buffer that only this step
+    holds becomes act in place: the BN output under linear_bn_relu.  With
+    keep False the caller reads act and out only, so pre and the BN
+    site's f_tilde become act and out too.
+    """
+    if li == net.n_layers - 1:
+        return None, pre, pre, None
+    mode = net.spec.bn_mode
+    site, y = None, pre
+    if mode == "linear_bn_relu":
+        site, y = _bn(pre, net.bn_c0[li], net.bn_c1[li], keep)
+    gate = (y > 0).astype(np.float64)
+    act = out = np.multiply(gate, y, out=None if keep and y is pre else y)
+    if mode == "linear_relu_bn":
+        site, out = _bn(act, net.bn_c0[li], net.bn_c1[li], keep)
+    return gate, act, out, site
+
+
+def _input(net: Network, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.layer_widths[0]:
         raise ConfigurationError(
             f"batch shape {x.shape} incompatible with input width "
             f"{net.spec.layer_widths[0]}"
         )
-    n_layers = net.n_layers
-    mode = net.spec.bn_mode
+    return x
+
+
+def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
+    """Evaluate the network on a batch, recording the full trace.
+
+    Each layer is its linear map and one _layer step on the previous
+    layer's out; the trace keeps every tensor of every step, with a gate
+    of ones at the top.
+    """
+    x = _input(net, batch)
     pre_l, gate_l, act_l, out_l, bn_l = [], [], [], [], []
     h = x
-    for li in range(n_layers):
-        pre = h @ net.weights[li]
-        if net.biases[li] is not None:
-            pre += net.biases[li]
-        site = None
-        if li == n_layers - 1:
-            gate = np.ones_like(pre)
-            act = out = pre
-        else:
-            y = pre
-            if mode == "linear_bn_relu":
-                site, y = _bn(pre, net.bn_c0[li], net.bn_c1[li])
-            gate = (y > 0).astype(np.float64)
-            act = out = gate * y
-            if mode == "linear_relu_bn":
-                site, out = _bn(act, net.bn_c0[li], net.bn_c1[li])
+    for li in range(net.n_layers):
+        pre = _linear(net, li, h)
+        gate, act, h, site = _layer(net, li, pre)
         pre_l.append(pre)
-        gate_l.append(gate)
+        gate_l.append(np.ones_like(pre) if gate is None else gate)
         act_l.append(act)
-        out_l.append(out)
+        out_l.append(h)
         bn_l.append(site)
-        h = out
     return ForwardTrace(x=x, pre=pre_l, gate=gate_l, act=act_l, out=out_l, bn=bn_l)
+
+
+def activations(net: Network, batch: np.ndarray):
+    """Each layer's act in turn, the outputs last: forward's steps, read-only.
+
+    Yields what forward(net, batch).act holds, bit for bit, and keeps no
+    trace: each step runs with keep False, and the walk drops a layer's
+    input once its linear map is taken and a step's pre-activation once
+    the step returns.  A caller that drops each act before asking for the
+    next holds one layer's tensors at a time.
+    """
+    h = _input(net, batch)
+    for li in range(net.n_layers):
+        pre = _linear(net, li, h)
+        del h
+        act, h = _layer(net, li, pre, keep=False)[1:3]
+        del pre
+        yield act
+        del act
 
 
 def bn_backward(

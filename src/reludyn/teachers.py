@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .net import Network, NetworkSpec, build_network, forward
+from .net import Network, NetworkSpec, activations, build_network
 
 REJECTION_CAP = 1000
 # rows per block of the large-n probes (psi_d, the fall-off probe): an
@@ -133,7 +133,9 @@ def make_student(
     with zeros elsewhere before mixing.  Top-layer rows mix with p_v and are
     never normalized; hidden columns are unit norm.  The student has biases
     when the teacher does, starting at zero, except on hidden layers under
-    BN.
+    BN.  Teacher weights large enough that a mixed column's norm or a
+    mixed top-layer row overflows raise ConfigurationError, computed
+    without a RuntimeWarning.
     """
     rng = np.random.default_rng(init.seed)
     k = init.overparam_factor
@@ -145,22 +147,34 @@ def make_student(
         + (t_widths[-1],)
     )
     weights = []
-    for li in range(n_layers - 1):
-        fan_in, width = widths[li], widths[li + 1]
-        m_prev, m = t_widths[li], t_widths[li + 1]
-        w = _noise_matrix(rng, fan_in, width)
-        if init.p_w > 0:
-            padded = np.zeros((fan_in, m))
-            padded[:m_prev, :] = teacher.weights[li]
-            w[:, :m] = init.p_w * padded + w[:, :m]
-        w = w / np.linalg.norm(w, axis=0)
-        weights.append(w)
-    # top layer: rows are per-hidden-node fan-outs, mixed but not normalized
-    fan_in, c = widths[-2], widths[-1]
-    m_prev = t_widths[-2]
-    v = _noise_matrix(rng, fan_in, c)
-    if init.p_v > 0:
-        v[:m_prev, :] = init.p_v * teacher.weights[-1] + v[:m_prev, :]
+    with np.errstate(over="ignore"):
+        for li in range(n_layers - 1):
+            fan_in, width = widths[li], widths[li + 1]
+            m_prev, m = t_widths[li], t_widths[li + 1]
+            w = _noise_matrix(rng, fan_in, width)
+            if init.p_w > 0:
+                padded = np.zeros((fan_in, m))
+                padded[:m_prev, :] = teacher.weights[li]
+                w[:, :m] = init.p_w * padded + w[:, :m]
+            norms = np.linalg.norm(w, axis=0)
+            if not np.isfinite(norms).all():
+                raise ConfigurationError(
+                    f"teacher weights mixed at p_w = {init.p_w:g} overflow "
+                    f"a column norm of student layer {li}"
+                )
+            weights.append(w / norms)
+        # top layer: rows are per-hidden-node fan-outs, mixed but not
+        # normalized
+        fan_in, c = widths[-2], widths[-1]
+        m_prev = t_widths[-2]
+        v = _noise_matrix(rng, fan_in, c)
+        if init.p_v > 0:
+            v[:m_prev, :] = init.p_v * teacher.weights[-1] + v[:m_prev, :]
+            if not np.isfinite(v).all():
+                raise ConfigurationError(
+                    f"teacher weights mixed at p_v = {init.p_v:g} overflow "
+                    f"student layer {n_layers - 1}"
+                )
     weights.append(v)
     spec = NetworkSpec(
         layer_widths=widths, bn_mode=bn_mode, bias=teacher.spec.bias
@@ -239,5 +253,8 @@ def batch_blocks(stream: GausStream, n: int):
 
 
 def teacher_labels(teacher: Network, batch: np.ndarray) -> np.ndarray:
-    """Raw teacher top-layer outputs (soft targets, no softmax)."""
-    return forward(teacher, batch).outputs
+    """Raw teacher top-layer outputs (soft targets, no softmax), from the
+    read-only walk, which keeps no trace."""
+    for out in activations(teacher, batch):
+        pass
+    return out

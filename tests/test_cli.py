@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +324,48 @@ def test_overflowing_teacher_is_a_config_error(tmp_path, capsys, widths,
     assert err.startswith("config error: config.teacher")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# p_v 1 mixes a finite top layer, and the teacher's own forward overflows;
+# p_v 1e10 overflows the student's top layer, p_w 1 a hidden column norm
+@pytest.mark.parametrize("student", [{"p_v": 1.0}, {"p_v": 1e10},
+                                     {"p_w": 1.0, "p_v": 1.0}])
+def test_overflowing_student_init_is_a_config_error(tmp_path, student):
+    cfg = write_config(tmp_path, {
+        "seeds": [0], "epochs": 1, "batches_per_epoch": 2, "batch_size": 4,
+        "teacher": {"layer_widths": [4, 3, 2],
+                    "weight_grid": [-1e300, 1e300]},
+        "student": {"overparam_factor": 1, **student}, "stream": {"std": 1.0},
+    })
+    out = tmp_path / "out"
+    # a fresh interpreter, so no earlier test's warning filter hides one
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "reludyn.cli",
+         "train", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("config error: config.teacher.weight_grid ")
+    assert run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_ledger_rate_is_an_infeasible_ledger(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {
+        "dim": 5, "teacher_width": 4, "outputs": 3, "overparams": [2],
+        "cells": [[10.0, 10.0], [0.0, 0.0]], "iterations": 2, "eta": 1.7e308,
+        "probe_n": 4000, "n_mc": 64,
+    }})
+    out = tmp_path / "out"
+    assert main(["overparam-grid", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ledgers = json.loads((out / "meta.json").read_text())["ledgers"]
+    assert len(ledgers) == 2
+    for cell in ledgers.values():
+        assert cell["ledger"]["binding"] == "rate-overflow"
+        assert cell["ledger"]["feasible"] is False
 
 
 # every teacher node is dead on the validation batch, so no layer-0

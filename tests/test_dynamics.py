@@ -831,8 +831,10 @@ def test_falloff_memory_stays_within_a_few_blocks(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # one block and the probe's per-row vectors (each 1/dim of a block):
+    # a block still alive while the next is drawn would make two
     block_bytes = block * dim * 8
-    assert peak < 3 * block_bytes, peak / block_bytes
+    assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
 def test_falloff_exponent_near_two():

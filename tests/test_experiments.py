@@ -14,14 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import random_network
 from reludyn import experiments
 from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
 from reludyn.errors import ConfigurationError, DegenerateBatchError
 from reludyn.experiments import (
     BLAS_THREAD_VARS,
+    DIVERGENCE_LOSS,
     DIVERGENCE_NORM,
     VAL_BATCH,
     RunLog,
+    _checkpoint,
     _grid_unit,
     _measure_cell_ledger,
     _parallel_map,
@@ -31,7 +34,8 @@ from reludyn.experiments import (
     make_config,
     run_experiment,
 )
-from reludyn.net import backward, build_network, forward, sgd_step
+from reludyn.metrics import rho_bar, rho_matrix, v_row_norms
+from reludyn.net import backward, build_network, forward, sgd_step, squared_loss
 from reludyn.teachers import (
     MAX_MIXING,
     StudentInit,
@@ -743,11 +747,11 @@ def test_lockstep_students_match_runs_of_their_own(stream):
     seen = set()
     for students in groups:
         together = experiments._run_training(teacher, students, cfg, unit,
-                                             3, 11)
+                                             3, 11, {})
         assert len(together) == len(students)
         for net, joint in zip(students, together):
             [alone] = experiments._run_training(teacher, [net], cfg, unit,
-                                                3, 11)
+                                                3, 11, {})
             rows, trained, finals, diverged = joint
             assert repr(rows) == repr(alone[0])
             assert any("r_bar_l0" in r for r in rows) == (len(rows) > 1)
@@ -1141,16 +1145,19 @@ def test_grid_meta_records_phase_timings_outside_summary(tmp_path):
 
 
 @pytest.mark.parametrize("cfg, phases", [
-    (tiny_train(), {"units"}),
-    (lottery_config(2), {"base", "arms"}),
+    (tiny_train(), {"units", "checkpoints"}),
+    (lottery_config(2), {"base", "arms", "checkpoints"}),
 ])
 def test_training_meta_records_phase_timings_outside_summary(
         tmp_path, cfg, phases):
     log = run_experiment(cfg)
     assert set(log.timings) == phases
-    # one worker: the per-unit phase sums fit inside the run
+    # one worker: the per-unit phase sums fit inside the run, and the
+    # validation checkpoints inside those phases
     assert all(v >= 0.0 for v in log.timings.values())
-    assert sum(log.timings.values()) <= log.wall_clock
+    outer = sum(v for k, v in log.timings.items() if k != "checkpoints")
+    assert outer <= log.wall_clock
+    assert 0.0 < log.timings["checkpoints"] <= outer
     emit_reports(log, tmp_path / "timed")
     emit_reports(dataclasses.replace(log, timings={}), tmp_path / "untimed")
     for name in ("summary.csv", "aggregate.csv"):
@@ -1220,6 +1227,74 @@ def test_training_holds_one_validation_checkpoint_at_a_time(kind, bn_mode):
     one = traced_peak(lambda: forward(student, val_x))
     run = traced_peak(lambda: run_experiment(cfg))
     assert run <= 1.3 * one
+
+
+def checkpoint_reference(net, val_x, val_acts, epoch):
+    """A checkpoint row and its correlation matrices, read from the full
+    forward trace of the student."""
+    acts = forward(net, val_x).act
+    loss = float(squared_loss(acts[-1], val_acts[-1]))
+    row = {"epoch": epoch, "loss": loss,
+           "diverged": int(not math.isfinite(loss) or loss > DIVERGENCE_LOSS)}
+    cms = []
+    for h in range(net.n_layers - 1):
+        cm = rho_matrix(acts[h], val_acts[h])
+        cms.append(cm)
+        rb = rho_bar(cm)
+        row[f"rho_bar_l{h}"] = rb.value if rb.n_covered else None
+        vr = v_row_norms(net, h)
+        row[f"v_l{h}_min"] = float(vr.min())
+        row[f"v_l{h}_max"] = float(vr.max())
+        row[f"v_l{h}_mean"] = float(vr.mean())
+    return row, cms
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       bn_mode=st.sampled_from(["none", "linear_relu_bn", "linear_bn_relu"]),
+       depth=st.integers(2, 4), draw=st.data(), batch=st.integers(2, 200),
+       scale=st.sampled_from([1.0, 1e3]))
+def test_streamed_checkpoint_matches_the_trace_bit_for_bit(seed, bn_mode, depth,
+                                                           draw, batch, scale):
+    # scale 1e3 grows the student's outputs past the divergence cutoff
+    widths = [draw.draw(st.integers(1, 12)) for _ in range(depth + 1)]
+    hidden = [draw.draw(st.integers(1, 12)) for _ in range(depth - 1)]
+    rng = np.random.default_rng(seed)
+    teacher = random_network(rng, (widths[0], *hidden, widths[-1]))
+    student = random_network(rng, tuple(widths), bn_mode=bn_mode,
+                             weight_std_scale=scale)
+    val_x = rng.normal(size=(batch, widths[0]))
+    val_acts = forward(teacher, val_x).act
+    cps = [[] for _ in range(depth - 1)]
+    row = _checkpoint(student, val_x, val_acts, 3, cps)
+    ref_row, ref_cms = checkpoint_reference(student, val_x, val_acts, 3)
+    assert list(row) == list(ref_row)
+    assert repr(row) == repr(ref_row)
+    assert all(len(layer) == 1 for layer in cps)
+    for [cm], ref in zip(cps, ref_cms):
+        for name in ("rho", "valid_students", "valid_teachers"):
+            assert getattr(cm, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@pytest.mark.parametrize("bn_mode", ["linear_bn_relu", "linear_relu_bn"])
+def test_training_validation_pass_holds_one_layer_at_a_time(bn_mode):
+    # the 20-100-150-200-25 BN student of the growth runs: its validation
+    # forward traces ~30 MB (~38 MB under linear_relu_bn); holding every
+    # layer's activations, or one layer's with the layer below or a spare
+    # buffer of its own alive, would reach half of that
+    cfg = make_config({
+        "kind": "train", "seeds": [0], "epochs": 1, "batches_per_epoch": 2,
+        "batch_size": 16, "teacher": {"layer_widths": [20, 10, 15, 20, 25]},
+        "student": {"overparam_factor": 10, "bn_mode": bn_mode},
+    })
+    teacher = make_teacher(TeacherSpec(**cfg.teacher))
+    student = make_student(teacher, StudentInit(overparam_factor=10),
+                           bn_mode=bn_mode)
+    val_x = np.random.default_rng(0).normal(size=(VAL_BATCH, 20))
+    run_experiment(cfg)  # first-call caches are not the run's
+    one = traced_peak(lambda: forward(student, val_x))
+    run = traced_peak(lambda: run_experiment(cfg))
+    assert run < 0.5 * one, run / one
 
 
 def test_emit_handles_nonfinite_ledger_values(tmp_path):

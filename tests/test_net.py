@@ -18,6 +18,7 @@ from reludyn.net import (
     Network,
     NetworkSpec,
     _bn,
+    activations,
     backward,
     bn_backward,
     build_network,
@@ -27,6 +28,7 @@ from reludyn.net import (
     sgd_step,
     squared_loss,
 )
+from reludyn.teachers import teacher_labels
 
 from oracles import (
     backward_reference,
@@ -178,6 +180,30 @@ def test_step_matches_reference_bit_for_bit(seed, bn_mode, bias, widths, batch):
         ours, theirs = getattr(grads, name), getattr(ref_grads, name)
         assert len(ours) == len(theirs) == net.n_layers
         assert all(map(_same, ours, theirs)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bn_mode=st.sampled_from(BN_MODES),
+       bias=st.booleans(),
+       widths=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       batch=st.integers(2, 40))
+def test_read_only_walk_yields_the_trace_acts_bit_for_bit(seed, bn_mode, bias,
+                                                         widths, batch):
+    # the walk reuses its step's buffers in place; every bit, signed zeros
+    # included, is forward's, and nothing it was given moves
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, tuple(widths), bn_mode=bn_mode, bias=bias)
+    x = rng.normal(size=(batch, widths[0]))
+    given_arrays = [x, *net.weights, *net.biases, *net.bn_c0, *net.bn_c1]
+    before = [None if a is None else a.copy() for a in given_arrays]
+    trace = forward(net, x)
+    acts = list(activations(net, x))
+    assert len(acts) == net.n_layers
+    for ours, theirs in zip(acts, trace.act):
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+    assert teacher_labels(net, x).tobytes() == trace.outputs.tobytes()
+    assert all(map(_same, given_arrays, before))
 
 
 # ---------------------------------------------------------------------------
