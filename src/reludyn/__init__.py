@@ -70,13 +70,9 @@ from .dynamics import (
     two_layer_constants,
     two_layer_moments,
 )
-from .experiments import (
-    ExperimentConfig,
-    RunLog,
-    config_hash,
-    emit_reports,
-    make_config,
-    run_experiment,
-)
+from .config import ExperimentConfig, config_hash, make_config
+from .units import RunLog
+from .reports import emit_reports
+from .experiments import run_experiment
 
 __version__ = "0.1.0"

@@ -20,12 +20,9 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .experiments import (
-    _schema_facts,
-    emit_reports,
-    make_config,
-    run_experiment,
-)
+from .config import kinds, make_config
+from .experiments import run_experiment
+from .reports import emit_reports
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,10 +41,7 @@ _SUBCOMMANDS: dict[str, str | None] = {
     "falloff": "falloff_probe",
 }
 
-_ABLATE_KINDS = tuple(
-    kind for kind in _schema_facts()[0]["properties"]["kind"]["enum"]
-    if kind.startswith("ablate_")
-)
+_ABLATE_KINDS = tuple(kind for kind in kinds() if kind.startswith("ablate_"))
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from oracles import (
 )
 from reludyn.beta import compute_beta, psi_d, verify_identity
 from reludyn.cli import main as cli_main
+from reludyn.config import make_config
 from reludyn.dynamics import (
     SingleLayerState,
     gate_moments,
@@ -32,7 +33,7 @@ from reludyn.dynamics import (
     single_layer_constants,
     two_layer_constants,
 )
-from reludyn.experiments import emit_reports, make_config, run_experiment
+from reludyn.experiments import run_experiment
 from reludyn.net import (
     BNSite,
     backward,
@@ -42,6 +43,7 @@ from reludyn.net import (
     forward,
     sgd_step,
 )
+from reludyn.reports import emit_reports
 from reludyn.teachers import GausStream, next_batch
 
 # test_beta.py froze these from an independent 2D Monte-Carlo run

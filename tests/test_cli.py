@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reludyn import experiments
+from reludyn import units
 from reludyn.cli import _ABLATE_KINDS, _SUBCOMMANDS, main
-from reludyn.experiments import _RUNNERS, _schema_facts
+from reludyn.config import _schema_facts
+from reludyn.experiments import _RUNNERS
 
 SCHEMA = _schema_facts()[0]
 
@@ -529,8 +530,8 @@ def test_os_error_while_running_is_io_error(tmp_path, capsys, monkeypatch):
     def no_pool(max_workers):
         raise OSError("cannot fork")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(units, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(units.os, "cpu_count", lambda: 2)
     cfg = write_config(tmp_path, TINY_TRAIN)
     out = tmp_path / "out"
     assert main(["train", "--config", cfg, "--out", str(out),
@@ -557,6 +558,27 @@ def test_diverging_grid_runs_without_warnings(tmp_path, capsys):
     # divergence cutoff, and only that row is marked diverged
     assert [(r["p_w"], r["iteration"]) for r in rows
             if r["diverged"] == "1"] == [("10.0", "3"), ("0.0", "3")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_band_has_empty_spread_cells(tmp_path):
+    cfg = write_config(tmp_path, {
+        "kind": "ablate_overparam", "seeds": [0, 1], "epochs": 1,
+        "batches_per_epoch": 2, "batch_size": 4, "eta": 1e30,
+        "teacher": {"layer_widths": [4, 3, 2]},
+        "student": {"overparam_factor": 1}, "stream": {"std": 1.0},
+        "ablate": {"factors": [1]},
+    })
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+    assert all("nan" not in path.read_text() for path in out.glob("*.csv"))
+    lines = (out / "aggregate.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    # the seeds' losses at epoch 1 include inf: no spread to report
+    [epoch_1] = [r for r in rows if r["epoch"] == "1"]
+    assert epoch_1["loss_mean"] == "inf"
+    assert epoch_1["loss_std"] == ""
 
 
 # each integer is drawn from [minimum, minimum + span]: span 3 unless

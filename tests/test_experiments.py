@@ -15,27 +15,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import random_network
-from reludyn import experiments
+from reludyn import config, training, units
+from reludyn.config import _schema_facts, config_hash, make_config
 from reludyn.dynamics import mixed_two_layer_init, reduced_teacher
 from reludyn.errors import ConfigurationError, DegenerateBatchError
-from reludyn.experiments import (
-    BLAS_THREAD_VARS,
-    DIVERGENCE_LOSS,
-    DIVERGENCE_NORM,
-    VAL_BATCH,
-    RunLog,
-    _checkpoint,
-    _grid_unit,
-    _measure_cell_ledger,
-    _parallel_map,
-    _schema_facts,
-    config_hash,
-    emit_reports,
-    make_config,
-    run_experiment,
-)
+from reludyn.experiments import BLAS_THREAD_VARS, run_experiment
+from reludyn.grid import DIVERGENCE_NORM, _grid_unit, _measure_cell_ledger
 from reludyn.metrics import rho_bar, rho_matrix, v_row_norms
 from reludyn.net import backward, build_network, forward, sgd_step, squared_loss
+from reludyn.reports import emit_reports
 from reludyn.teachers import (
     MAX_MIXING,
     StudentInit,
@@ -43,6 +31,8 @@ from reludyn.teachers import (
     make_student,
     make_teacher,
 )
+from reludyn.training import DIVERGENCE_LOSS, VAL_BATCH, _checkpoint
+from reludyn.units import RunLog, _parallel_map
 
 SCHEMA = _schema_facts()[0]
 
@@ -327,7 +317,7 @@ def schema_nodes(node):
         yield from schema_nodes(node["items"])
 
 
-# the keywords experiments._typed reads; "default" is read by _defaults
+# the keywords config._typed reads; "default" is read by _defaults
 # and "$schema" and "title" are annotations
 WALKED_KEYWORDS = {
     "type", "enum", "properties", "required", "additionalProperties",
@@ -342,7 +332,7 @@ def test_the_config_walk_reads_every_keyword_the_schema_uses():
     assert used <= WALKED_KEYWORDS | {"default", "$schema", "title"}
     for node in nodes:
         # the walk knows these types, and rejects every unknown key
-        assert node.get("type", "object") in experiments._JSON_TYPES
+        assert node.get("type", "object") in config._JSON_TYPES
         if node.get("type") == "object":
             assert node["additionalProperties"] is False
 
@@ -412,12 +402,12 @@ def value_nodes(value, node, path=()):
 
 def rule_applies(data: dict) -> bool:
     """make_config's lottery and grid rules, on a config the schema takes."""
-    merged = experiments._merge(_schema_facts()[1], data)
+    merged = config._merge(_schema_facts()[1], data)
     if data["kind"] == "lottery":
         return merged["student"]["bn_mode"] != "none"
     if data["kind"] == "overparam_grid":
         cells = merged["grid"]["cells"]
-        keys = [experiments._cell_key(o, *c)
+        keys = [config._cell_key(o, *c)
                 for o in merged["grid"]["overparams"] for c in cells]
         return (len(set(keys)) < len(keys)
                 or any(p > MAX_MIXING for c in cells for p in c))
@@ -587,7 +577,7 @@ def test_merged_joins_unit_logs_in_unit_order():
         ledgers={"b": {"k": 2}}, assumptions=[{"seed": 1}],
         timings={"units": 2.0},
     )
-    log = experiments._merged([first, second])
+    log = units._merged([first, second])
     assert log.rows == [{"seed": 0}, {"seed": 1}, {"seed": 2}]
     assert log.tables == {"t": [{"x": 1}, {"x": 2}], "empty": []}
     assert log.ledgers == {"a": {"k": 1}, "b": {"k": 2}}
@@ -616,8 +606,8 @@ def recording_pool(monkeypatch) -> list[int]:
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(units, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(units.os, "cpu_count", lambda: 8)
     return sizes
 
 
@@ -631,7 +621,7 @@ def test_parallel_map_caps_the_pool(monkeypatch):
     # a single payload, a single worker or an unknown CPU count: no pool
     assert _parallel_map(abs, [-1], 64) == [1]
     assert _parallel_map(abs, [-1, -2], 1) == [1, 2]
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(units.os, "cpu_count", lambda: None)
     assert _parallel_map(abs, [-1, -2], 64) == [1, 2]
     assert sizes == [3, 8, 4]
 
@@ -739,18 +729,18 @@ def test_lockstep_students_match_runs_of_their_own(stream):
     numeric failure mid-epoch (x30) and at the loss cutoff (x10)."""
     cfg = tiny_train(seeds=[0], epochs=3, batches_per_epoch=6, eta=0.05,
                      stream=stream)
-    unit = experiments._training_units(cfg)[0]
+    unit = training._training_units(cfg)[0]
     teacher = make_teacher(TeacherSpec(**unit["teacher"]))
-    a, b = (experiments._student(teacher, unit, s) for s in (5, 6))
+    a, b = (training._student(teacher, unit, s) for s in (5, 6))
     groups = ([a], [_scaled(a, 30.0), b], [a, _scaled(b, 10.0), b],
               [_scaled(a, 100.0), b, _scaled(b, 30.0)])
     seen = set()
     for students in groups:
-        together = experiments._run_training(teacher, students, cfg, unit,
+        together = training._run_training(teacher, students, cfg, unit,
                                              3, 11, {})
         assert len(together) == len(students)
         for net, joint in zip(students, together):
-            [alone] = experiments._run_training(teacher, [net], cfg, unit,
+            [alone] = training._run_training(teacher, [net], cfg, unit,
                                                 3, 11, {})
             rows, trained, finals, diverged = joint
             assert repr(rows) == repr(alone[0])
@@ -845,8 +835,8 @@ def test_backward_calls_keep_the_bn_step_contract(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
         return moved
 
-    monkeypatch.setattr(experiments, "backward", capture)
-    monkeypatch.setattr(experiments, "sgd_step", step_reading_only)
+    monkeypatch.setattr(training, "backward", capture)
+    monkeypatch.setattr(training, "sgd_step", step_reading_only)
     for bn_mode in ("none", "linear_relu_bn", "linear_bn_relu"):
         captured.clear()
         run_experiment(tiny_train(
@@ -1016,6 +1006,7 @@ def test_cell_ledger_rejects_silent_target_naming_the_cell():
     # the same error crosses the worker pool from a cell's first-seed unit
     payloads = [
         (cfg, {"cell_index": ci, "seed": 0, "c0_hat": 1.0,
+               "teacher": (w_star, v_star),
                "tags": {"overparam": 2, "p_w": 10.0, "p_v": 10.0}})
         for ci in range(2)
     ]
